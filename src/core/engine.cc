@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -9,7 +8,6 @@
 #include "common/fault.h"
 #include "common/timer.h"
 #include "linalg/matrix_io.h"
-#include "linalg/simd/simd.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "par/parallel_for.h"
@@ -168,36 +166,16 @@ Result<std::vector<EngineHit>> LsiEngine::MoreLikeThis(
   if (document >= NumDocuments()) {
     return Status::OutOfRange("MoreLikeThis: document index out of range");
   }
-  linalg::DenseVector latent = index_.DocumentVector(document);
-  const auto& all = index_.document_vectors();
-  const std::size_t k = all.cols();
-  // Guard degenerate (near-zero) latent vectors — see LsiIndex::Search.
-  double max_norm = 0.0;
-  std::vector<double> norms(NumDocuments(), 0.0);
-  for (std::size_t d = 0; d < NumDocuments(); ++d) {
-    norms[d] = std::sqrt(linalg::simd::SquaredNorm(all.RowPtr(d), k));
-    max_norm = std::max(max_norm, norms[d]);
+  if (index_.IsDeleted(document)) {
+    return Status::NotFound("MoreLikeThis: document has been deleted");
   }
-  const double floor = 1e-12 * max_norm;
-  std::vector<double> scores(NumDocuments(), -2.0);
-  double self_norm = latent.Norm();
-  for (std::size_t d = 0; d < NumDocuments(); ++d) {
-    if (d == document) continue;  // Excluded via sentinel score.
-    if (self_norm <= floor || norms[d] <= floor) {
-      scores[d] = 0.0;
-      continue;
-    }
-    scores[d] = linalg::simd::Dot(latent.data(), all.RowPtr(d), k) /
-                (self_norm * norms[d]);
-  }
-  auto ranked = RankScores(scores, top_k == 0 ? 0 : top_k + 1);
-  ranked.erase(std::remove_if(ranked.begin(), ranked.end(),
-                              [&](const SearchResult& r) {
-                                return r.document == document;
-                              }),
-               ranked.end());
-  if (top_k != 0 && ranked.size() > top_k) ranked.resize(top_k);
-  return ToHits(std::move(ranked));
+  // A source that folds to numerically nothing scores everything 0.
+  const double* source =
+      index_.IsFloorRow(LsiIndex::Rows::kDocuments, document)
+          ? nullptr
+          : index_.document_vectors().RowPtr(document);
+  return ToHits(index_.ScanTopK(LsiIndex::Rows::kDocuments, source, top_k,
+                                document));
 }
 
 Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
@@ -216,33 +194,12 @@ Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
     return Status::NotFound("term not in the corpus: " + analyzed[0]);
   }
   const std::size_t anchor = it->second;
-
-  linalg::DenseMatrix term_vectors = index_.TermVectors();
-  linalg::DenseVector anchor_vector = term_vectors.Row(anchor);
-  const std::size_t k = term_vectors.cols();
-  double anchor_norm = anchor_vector.Norm();
-  // Guard terms that fold to numerically nothing (cf. LsiIndex::Search).
-  double max_norm = 0.0;
-  std::vector<double> norms(NumTerms(), 0.0);
-  for (std::size_t t = 0; t < NumTerms(); ++t) {
-    norms[t] = std::sqrt(linalg::simd::SquaredNorm(term_vectors.RowPtr(t), k));
-    max_norm = std::max(max_norm, norms[t]);
-  }
-  const double floor = 1e-12 * max_norm;
-  std::vector<double> scores(NumTerms(), -2.0);
-  if (anchor_norm > floor) {
-    for (std::size_t t = 0; t < NumTerms(); ++t) {
-      if (t == anchor || norms[t] <= floor) continue;
-      scores[t] = linalg::simd::Dot(anchor_vector.data(),
-                                    term_vectors.RowPtr(t), k) /
-                  (anchor_norm * norms[t]);
-    }
-  }
-  auto ranked = RankScores(scores, top_k);
   std::vector<RelatedTerm> related;
-  related.reserve(ranked.size());
-  for (const SearchResult& r : ranked) {
-    if (r.score <= -2.0) continue;
+  // A term that folds to numerically nothing has no direction to compare.
+  if (index_.IsFloorRow(LsiIndex::Rows::kTerms, anchor)) return related;
+  const linalg::DenseVector anchor_vector = index_.TermVector(anchor);
+  for (const SearchResult& r : index_.ScanTopK(
+           LsiIndex::Rows::kTerms, anchor_vector.data(), top_k, anchor)) {
     related.push_back({terms_[r.document], r.score});
   }
   return related;

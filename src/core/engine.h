@@ -77,7 +77,8 @@ class LsiEngine {
       const std::vector<std::string>& queries, std::size_t top_k = 10) const;
 
   /// Ranks documents similar to an already-indexed document ("more like
-  /// this"). The document itself is excluded from the results.
+  /// this"). The document itself and tombstoned documents are excluded
+  /// from the results; a tombstoned source is NotFound.
   Result<std::vector<EngineHit>> MoreLikeThis(std::size_t document,
                                               std::size_t top_k = 10) const;
 
@@ -143,12 +144,13 @@ class LsiEngine {
 
 /// Merges per-source ranked hit lists into one list ranked the way
 /// Query() ranks: score descending, ties broken by ascending document
-/// id (RankScores is a stable sort over ids 0..m-1, which is exactly
-/// this ordering), with the name as a final tiebreak for sources whose
-/// id spaces collide. When the sources partition one engine's documents
-/// — each hit keeping its global id — the merge is bit-identical to
-/// querying the unpartitioned engine, which is what lets a shard router
-/// promise exact results. `top_k == 0` keeps everything.
+/// id (LsiIndex::ScanTopK's single ordering rule), with the name as a
+/// final tiebreak for sources whose id spaces collide. Tombstones never
+/// reach a source list: ScanTopK skips them during the scan. When the
+/// sources partition one engine's documents — each hit keeping its
+/// global id — the merge is bit-identical to querying the unpartitioned
+/// engine, which is what lets a shard router promise exact results.
+/// `top_k == 0` keeps everything.
 std::vector<EngineHit> MergeTopKHits(
     std::vector<std::vector<EngineHit>> sources, std::size_t top_k);
 

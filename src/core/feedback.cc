@@ -1,7 +1,5 @@
 #include "core/feedback.h"
 
-#include <algorithm>
-
 namespace lsi::core {
 
 Result<linalg::DenseVector> RocchioExpandQuery(
@@ -45,24 +43,8 @@ Result<std::vector<SearchResult>> SearchWithFeedback(
     std::size_t top_k, const RocchioOptions& options) {
   LSI_ASSIGN_OR_RETURN(linalg::DenseVector expanded,
                        RocchioExpandQuery(index, query, options));
-  const std::size_t m = index.NumDocuments();
-  const auto& docs = index.document_vectors();
-  double max_norm = 0.0;
-  std::vector<double> norms(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    norms[j] = docs.Row(j).Norm();
-    max_norm = std::max(max_norm, norms[j]);
-  }
-  const double floor = 1e-12 * max_norm;
-  double expanded_norm = expanded.Norm();
-  std::vector<double> scores(m, 0.0);
-  if (expanded_norm > 0.0) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (norms[j] <= floor) continue;
-      scores[j] = Dot(expanded, docs.Row(j)) / (expanded_norm * norms[j]);
-    }
-  }
-  return RankScores(scores, top_k);
+  const double* probe = expanded.Norm() > 0.0 ? expanded.data() : nullptr;
+  return index.ScanTopK(LsiIndex::Rows::kDocuments, probe, top_k);
 }
 
 }  // namespace lsi::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 #include "linalg/operators.h"
@@ -43,6 +42,32 @@ Result<linalg::SvdResult> ComputeJacobi(const linalg::DenseMatrix& dense,
   return full.Truncated(rank);
 }
 
+// A vector whose norm is at most this fraction of its reference norm
+// folds to numerically nothing: cosines against it are rounding noise.
+constexpr double kFloorRatio = 1e-12;
+
+// The ranking order: score descending, ties by ascending id. It is a
+// total order, so every selection strategy and chunking yields the same
+// results.
+bool Better(const SearchResult& a, const SearchResult& b) {
+  return a.score > b.score || (a.score == b.score && a.document < b.document);
+}
+
+// Adds `r` to `best`, which keeps the best `top_k` results offered so
+// far (all when top_k == 0). Bounded, `best` is a heap whose front is
+// the worst result kept.
+void Offer(std::vector<SearchResult>& best, const SearchResult& r,
+           std::size_t top_k) {
+  if (top_k == 0 || best.size() < top_k) {
+    best.push_back(r);
+    if (top_k != 0) std::push_heap(best.begin(), best.end(), Better);
+  } else if (Better(r, best.front())) {
+    std::pop_heap(best.begin(), best.end(), Better);
+    best.back() = r;
+    std::push_heap(best.begin(), best.end(), Better);
+  }
+}
+
 }  // namespace
 
 LsiIndex::LsiIndex(linalg::SvdResult svd) : svd_(std::move(svd)) {
@@ -57,16 +82,16 @@ LsiIndex::LsiIndex(linalg::SvdResult svd) : svd_(std::move(svd)) {
       document_vectors_(j, i) = svd_.v(j, i) * svd_.singular_values[i];
     }
   }
-  RecomputeDocumentNorms();
+  RecomputeNorms();
 }
 
 LsiIndex::LsiIndex(linalg::SvdResult svd,
                    linalg::DenseMatrix document_vectors)
     : svd_(std::move(svd)), document_vectors_(std::move(document_vectors)) {
-  RecomputeDocumentNorms();
+  RecomputeNorms();
 }
 
-void LsiIndex::RecomputeDocumentNorms() {
+void LsiIndex::RecomputeNorms() {
   document_norms_.assign(document_vectors_.rows(), 0.0);
   deleted_.assign(document_vectors_.rows(), 0);
   num_deleted_ = 0;
@@ -75,6 +100,20 @@ void LsiIndex::RecomputeDocumentNorms() {
     document_norms_[j] = std::sqrt(linalg::simd::SquaredNorm(
         document_vectors_.RowPtr(j), document_vectors_.cols()));
     max_document_norm_ = std::max(max_document_norm_, document_norms_[j]);
+  }
+  term_norms_.assign(NumTerms(), 0.0);
+  max_term_norm_ = 0.0;
+  std::vector<double> row(rank());
+  for (std::size_t t = 0; t < NumTerms(); ++t) {
+    TermRow(t, row.data());
+    term_norms_[t] = std::sqrt(linalg::simd::SquaredNorm(row.data(), rank()));
+    max_term_norm_ = std::max(max_term_norm_, term_norms_[t]);
+  }
+}
+
+void LsiIndex::TermRow(std::size_t t, double* out) const {
+  for (std::size_t i = 0; i < rank(); ++i) {
+    out[i] = svd_.u(t, i) * svd_.singular_values[i];
   }
 }
 
@@ -187,15 +226,18 @@ linalg::DenseVector LsiIndex::DocumentVector(std::size_t j) const {
 }
 
 linalg::DenseMatrix LsiIndex::TermVectors() const {
-  const std::size_t n = svd_.u.rows();
-  const std::size_t k = svd_.rank();
-  linalg::DenseMatrix term_vectors(n, k);
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t i = 0; i < k; ++i) {
-      term_vectors(t, i) = svd_.u(t, i) * svd_.singular_values[i];
-    }
+  linalg::DenseMatrix term_vectors(NumTerms(), rank());
+  for (std::size_t t = 0; t < NumTerms(); ++t) {
+    TermRow(t, term_vectors.RowPtr(t));
   }
   return term_vectors;
+}
+
+linalg::DenseVector LsiIndex::TermVector(std::size_t t) const {
+  LSI_CHECK(t < NumTerms());
+  linalg::DenseVector row(rank());
+  TermRow(t, row.data());
+  return row;
 }
 
 Result<linalg::DenseVector> LsiIndex::FoldInQuery(
@@ -211,60 +253,69 @@ Result<std::vector<SearchResult>> LsiIndex::Search(
     const linalg::DenseVector& query, std::size_t top_k) const {
   obs::ScopedSpan span("score");
   LSI_ASSIGN_OR_RETURN(linalg::DenseVector folded, FoldInQuery(query));
-  const std::size_t m = NumDocuments();
-  const std::size_t k = document_vectors_.cols();
-  std::vector<double> scores(m, 0.0);
-  // Documents (or queries) orthogonal to the latent subspace fold to
-  // numerically-zero vectors; cosines against those are rounding noise,
-  // so they score 0 instead. Norms are cached at build/fold-in time.
-  const double doc_floor = 1e-12 * max_document_norm_;
-  const double query_floor = 1e-12 * query.Norm();
-  double folded_norm = folded.Norm();
-  if (folded_norm > query_floor) {
-    // Row-parallel over disjoint score slots; each cosine reads one
-    // contiguous V_k D_k row through the SIMD dot kernel. The grain
-    // depends only on k, so the partition — and the scores — are
-    // identical at every LSI_THREADS setting.
-    const std::size_t grain =
-        std::max<std::size_t>(64, (1 << 16) / std::max<std::size_t>(1, k));
-    par::ParallelFor(0, m, grain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t j = begin; j < end; ++j) {
-        if (document_norms_[j] <= doc_floor) continue;
-        scores[j] =
-            linalg::simd::Dot(folded.data(), document_vectors_.RowPtr(j), k) /
-            (folded_norm * document_norms_[j]);
+  // A query orthogonal to the latent subspace scores everything 0.
+  const bool degenerate = folded.Norm() <= kFloorRatio * query.Norm();
+  return ScanTopK(Rows::kDocuments, degenerate ? nullptr : folded.data(),
+                  top_k);
+}
+
+bool LsiIndex::IsFloorRow(Rows rows, std::size_t j) const {
+  return rows == Rows::kTerms
+             ? term_norms_[j] <= kFloorRatio * max_term_norm_
+             : document_norms_[j] <= kFloorRatio * max_document_norm_;
+}
+
+std::vector<SearchResult> LsiIndex::ScanTopK(Rows rows, const double* probe,
+                                             std::size_t top_k,
+                                             std::size_t exclude) const {
+  const bool terms = rows == Rows::kTerms;
+  const std::size_t k = rank();
+  const std::vector<double>& norms = terms ? term_norms_ : document_norms_;
+  const double probe_norm =
+      probe == nullptr ? 0.0
+                       : std::sqrt(linalg::simd::SquaredNorm(probe, k));
+  // Each chunk keeps a bounded top-k and the chunks fold in order. The
+  // grain depends only on k, so the partition is the same at every
+  // LSI_THREADS setting; Better is a total order, so the result is too.
+  const std::size_t grain =
+      std::max<std::size_t>(64, (1 << 16) / std::max<std::size_t>(1, k));
+  auto scan = [&](std::size_t begin, std::size_t end) {
+    std::vector<SearchResult> best;
+    std::vector<double> term_row(terms ? k : 0);
+    for (std::size_t j = begin; j < end; ++j) {
+      const bool at_floor = IsFloorRow(rows, j);
+      if (j == exclude || (terms ? at_floor : deleted_[j] != 0)) continue;
+      double score = 0.0;
+      if (probe != nullptr && !at_floor) {
+        if (terms) TermRow(j, term_row.data());
+        const double* row =
+            terms ? term_row.data() : document_vectors_.RowPtr(j);
+        score = linalg::simd::Dot(probe, row, k) / (probe_norm * norms[j]);
       }
-    });
-  }
-  if (num_deleted_ == 0) return RankScores(scores, top_k);
-  // Tombstoned documents must not appear at all (their zeroed vectors
-  // already score 0): rank everything, drop them, then truncate.
-  std::vector<SearchResult> ranked = RankScores(scores, 0);
-  ranked.erase(std::remove_if(ranked.begin(), ranked.end(),
-                              [&](const SearchResult& r) {
-                                return deleted_[r.document] != 0;
-                              }),
-               ranked.end());
-  if (top_k != 0 && ranked.size() > top_k) ranked.resize(top_k);
-  return ranked;
+      Offer(best, {j, score}, top_k);
+    }
+    return best;
+  };
+  auto merge = [&](std::vector<SearchResult> best,
+                   std::vector<SearchResult> chunk) {
+    for (const SearchResult& r : chunk) Offer(best, r, top_k);
+    return best;
+  };
+  std::vector<SearchResult> best =
+      par::ParallelReduce(0, norms.size(), grain,
+                          std::vector<SearchResult>{}, scan, merge);
+  std::sort(best.begin(), best.end(), Better);
+  return best;
 }
 
 std::vector<SearchResult> RankScores(const std::vector<double>& scores,
                                      std::size_t top_k) {
-  std::vector<std::size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return scores[a] > scores[b];
-                   });
-  std::size_t keep = (top_k == 0) ? scores.size()
-                                  : std::min(top_k, scores.size());
-  std::vector<SearchResult> results;
-  results.reserve(keep);
-  for (std::size_t i = 0; i < keep; ++i) {
-    results.push_back({order[i], scores[order[i]]});
+  std::vector<SearchResult> best;
+  for (std::size_t j = 0; j < scores.size(); ++j) {
+    Offer(best, {j, scores[j]}, top_k);
   }
-  return results;
+  std::sort(best.begin(), best.end(), Better);
+  return best;
 }
 
 }  // namespace lsi::core

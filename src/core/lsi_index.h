@@ -100,6 +100,9 @@ class LsiIndex {
   /// Synonymous terms end up with nearly parallel rows (§4, Synonymy).
   linalg::DenseMatrix TermVectors() const;
 
+  /// Copy of term t's latent vector (row t of TermVectors()).
+  linalg::DenseVector TermVector(std::size_t t) const;
+
   /// Folds a term-space query vector (dimension n) into the latent
   /// space: returns U_k^T q. Fails on dimension mismatch.
   Result<linalg::DenseVector> FoldInQuery(
@@ -109,6 +112,33 @@ class LsiIndex {
   /// vector) in the latent space; returns the best `top_k` (all if 0).
   Result<std::vector<SearchResult>> Search(const linalg::DenseVector& query,
                                            std::size_t top_k = 0) const;
+
+  /// The row sets ScanTopK ranks: documents (V_k D_k plus folded-in
+  /// rows) or terms (U_k D_k).
+  enum class Rows { kDocuments, kTerms };
+
+  /// ScanTopK's `exclude` when no extra row is excluded.
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+  /// True when row j of `rows` folds to numerically nothing: its norm is
+  /// at most 1e-12 times the largest row norm of the set. Cosines
+  /// against such a row are rounding noise.
+  bool IsFloorRow(Rows rows, std::size_t j) const;
+
+  /// The one latent-cosine ranking behind Search, SearchWithFeedback and
+  /// the engine's MoreLikeThis/RelatedTerms: scores every candidate row
+  /// r of `rows` by cos(probe, r) and returns the best `top_k` (all if
+  /// 0), ordered by score descending, ties by ascending row id.
+  ///
+  /// Candidates are all rows except `exclude`, tombstoned documents and
+  /// floor terms; excluded rows are skipped before any dot product. A
+  /// floor document scores 0 and stays a candidate. `probe` points at
+  /// rank() doubles with a nonzero norm, or is nullptr — the caller's
+  /// verdict that its probe is degenerate — which scores every
+  /// candidate 0. Results are bit-identical at every LSI_THREADS.
+  std::vector<SearchResult> ScanTopK(Rows rows, const double* probe,
+                                     std::size_t top_k,
+                                     std::size_t exclude = kNoRow) const;
 
   /// Folds a new document into the existing latent space WITHOUT
   /// recomputing the SVD (the classic LSI "folding-in" update): the
@@ -132,7 +162,7 @@ class LsiIndex {
   }
 
   /// Tombstones document `j`: zeroes its latent vector so it can never
-  /// score, and excludes it from Search results entirely. Idempotent.
+  /// score, and excludes it from every ScanTopK ranking. Idempotent.
   /// Deletion marks are an in-memory overlay — Save() writes the zeroed
   /// row but not the flag (rebuild the overlay from the system of
   /// record, e.g. the live layer's WAL, after Load()).
@@ -172,23 +202,27 @@ class LsiIndex {
   explicit LsiIndex(linalg::SvdResult svd);
   LsiIndex(linalg::SvdResult svd, linalg::DenseMatrix document_vectors);
 
-  void RecomputeDocumentNorms();
+  void RecomputeNorms();
+  // Writes row t of U_k D_k into out[0, rank()).
+  void TermRow(std::size_t t, double* out) const;
 
   linalg::SvdResult svd_;
   // m x k = V_k D_k at build time, plus one row per folded-in document.
   linalg::DenseMatrix document_vectors_;
-  // Cached row norms of document_vectors_ and their maximum, used to
-  // zero out documents that fold to numerically-nothing.
+  // Cached row norms of document_vectors_ and of U_k D_k, and their
+  // maxima: the cosine denominators and floors of ScanTopK.
   std::vector<double> document_norms_;
   double max_document_norm_ = 0.0;
+  std::vector<double> term_norms_;
+  double max_term_norm_ = 0.0;
   // Tombstone overlay: deleted_[j] != 0 excludes document j from
   // results. Not serialized (see MarkDeleted).
   std::vector<std::uint8_t> deleted_;
   std::size_t num_deleted_ = 0;
 };
 
-/// Ranks `scores` and returns the top_k indices by descending score
-/// (all when top_k == 0). Shared by the index implementations.
+/// Ranks `scores` and returns the top_k indices by descending score,
+/// ties by ascending index (all when top_k == 0) — ScanTopK's order.
 std::vector<SearchResult> RankScores(const std::vector<double>& scores,
                                      std::size_t top_k);
 

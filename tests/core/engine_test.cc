@@ -8,6 +8,7 @@
 #include "common/fault.h"
 #include "par/par.h"
 #include "text/analyzer.h"
+#include "text/corpus_io.h"
 
 namespace lsi::core {
 namespace {
@@ -147,6 +148,32 @@ TEST(LsiEngineTest, MoreLikeThisExcludesSelf) {
   for (const EngineHit& hit : hits.value()) {
     EXPECT_NE(hit.document, 0u);
   }
+}
+
+TEST(LsiEngineTest, MoreLikeThisSkipsTombstones) {
+  // Regression test: a tombstoned row used to score 0 and outrank live
+  // documents with negative cosines, and a tombstoned source used to
+  // return arbitrary documents at score 0.
+  text::Analyzer analyzer;
+  auto corpus = text::LoadCorpusFromFile(
+      LSI_REPO_ROOT "/data/mini_corpus.tsv", analyzer);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  ASSERT_EQ(corpus->NumDocuments(), 45u);
+  LsiEngineOptions options;
+  options.rank = 5;
+  auto engine = LsiEngine::Build(corpus.value(), options);
+  ASSERT_TRUE(engine.ok());
+  for (std::size_t d = 10; d < 45; ++d) {
+    ASSERT_TRUE(engine->RemoveDocument(d).ok());
+  }
+  auto hits = engine->MoreLikeThis(0, 20);
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits->size(), 9u);  // Every live document but the source.
+  for (const EngineHit& hit : hits.value()) {
+    EXPECT_LT(hit.document, 10u) << hit.document_name;
+    EXPECT_NE(hit.document, 0u);
+  }
+  EXPECT_TRUE(engine->MoreLikeThis(10, 5).status().IsNotFound());
 }
 
 TEST(LsiEngineTest, RelatedTermsFindTopicVocabulary) {

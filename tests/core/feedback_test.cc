@@ -5,6 +5,8 @@
 #include "common/rng.h"
 #include "core/retrieval_metrics.h"
 #include "model/separable_model.h"
+#include "text/analyzer.h"
+#include "text/corpus_io.h"
 #include "text/term_weighting.h"
 
 namespace lsi::core {
@@ -112,6 +114,32 @@ TEST(SearchWithFeedbackTest, RankingQualityNotWorse) {
     feedback_map += AveragePrecision(feedback.value(), relevant);
   }
   EXPECT_GE(feedback_map, plain_map - 0.05);
+}
+
+TEST(SearchWithFeedbackTest, SkipsTombstones) {
+  // Regression test: the second pass used to rank tombstoned documents
+  // (score 0) ahead of live documents with negative cosines.
+  text::Analyzer analyzer;
+  auto corpus = text::LoadCorpusFromFile(
+      LSI_REPO_ROOT "/data/mini_corpus.tsv", analyzer);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  ASSERT_EQ(corpus->NumDocuments(), 45u);
+  SparseMatrix matrix = text::BuildTermDocumentMatrix(corpus.value()).value();
+  LsiOptions options;
+  options.rank = 5;
+  LsiIndex index = LsiIndex::Build(matrix, options).value();
+  for (std::size_t d = 10; d < 45; ++d) {
+    ASSERT_TRUE(index.MarkDeleted(d).ok());
+  }
+  const DenseVector query = matrix.ToDense().Column(0);
+  auto plain = index.Search(query, 20);
+  auto feedback = SearchWithFeedback(index, query, 20);
+  ASSERT_TRUE(plain.ok() && feedback.ok());
+  EXPECT_EQ(plain->size(), 10u);
+  EXPECT_EQ(feedback->size(), 10u);  // Every live document, nothing more.
+  for (const SearchResult& r : feedback.value()) {
+    EXPECT_FALSE(index.IsDeleted(r.document)) << r.document;
+  }
 }
 
 TEST(SearchWithFeedbackTest, TopKRespected) {

@@ -1,11 +1,18 @@
 #include "core/lsi_index.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/engine.h"
 #include "linalg/norms.h"
+#include "linalg/simd/simd.h"
+#include "model/separable_model.h"
+#include "par/par.h"
 #include "test_util.h"
 
 namespace lsi::core {
@@ -297,6 +304,281 @@ TEST(RankScoresTest, TopKClamped) {
   std::vector<double> scores = {0.1, 0.2};
   EXPECT_EQ(RankScores(scores, 10).size(), 2u);
   EXPECT_EQ(RankScores(scores, 1).size(), 1u);
+}
+
+// The full-sort ranking every latent-cosine search used before ScanTopK,
+// kept as the reference the bounded selection must reproduce: a stable
+// sort of all ids by descending score, truncated to top_k (all if 0).
+std::vector<SearchResult> ReferenceRank(const std::vector<double>& scores,
+                                        std::size_t top_k) {
+  std::vector<std::size_t> order(scores.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return scores[a] > scores[b];
+                   });
+  const std::size_t keep =
+      top_k == 0 ? scores.size() : std::min(top_k, scores.size());
+  std::vector<SearchResult> ranked;
+  for (std::size_t i = 0; i < keep; ++i) {
+    ranked.push_back({order[i], scores[order[i]]});
+  }
+  return ranked;
+}
+
+std::vector<double> RowNorms(const DenseMatrix& rows) {
+  std::vector<double> norms(rows.rows());
+  for (std::size_t j = 0; j < rows.rows(); ++j) {
+    norms[j] = std::sqrt(linalg::simd::SquaredNorm(rows.RowPtr(j), rows.cols()));
+  }
+  return norms;
+}
+
+// The full-sort Search: score every document (norms recomputed per
+// call), rank them all, then drop tombstones and truncate.
+std::vector<SearchResult> ReferenceSearch(const LsiIndex& index,
+                                          const DenseVector& query,
+                                          std::size_t top_k) {
+  const DenseMatrix& docs = index.document_vectors();
+  const DenseVector folded = index.FoldInQuery(query).value();
+  const std::vector<double> norms = RowNorms(docs);
+  const double floor = 1e-12 * *std::max_element(norms.begin(), norms.end());
+  const double folded_norm = folded.Norm();
+  std::vector<double> scores(docs.rows(), 0.0);
+  for (std::size_t j = 0; j < docs.rows(); ++j) {
+    if (folded_norm <= 1e-12 * query.Norm() || norms[j] <= floor) continue;
+    scores[j] = linalg::simd::Dot(folded.data(), docs.RowPtr(j), docs.cols()) /
+                (folded_norm * norms[j]);
+  }
+  std::vector<SearchResult> ranked;
+  for (const SearchResult& r : ReferenceRank(scores, 0)) {
+    if (!index.IsDeleted(r.document)) ranked.push_back(r);
+  }
+  if (top_k != 0 && ranked.size() > top_k) ranked.resize(top_k);
+  return ranked;
+}
+
+// The full-sort RelatedTerms over the n x k TermVectors() copy: the
+// anchor and floor terms keep a -2 sentinel that is filtered out after
+// ranking.
+std::vector<SearchResult> ReferenceRelatedTerms(const LsiIndex& index,
+                                                std::size_t anchor,
+                                                std::size_t top_k) {
+  const DenseMatrix terms = index.TermVectors();
+  const std::vector<double> norms = RowNorms(terms);
+  const double floor = 1e-12 * *std::max_element(norms.begin(), norms.end());
+  std::vector<double> scores(terms.rows(), -2.0);
+  for (std::size_t t = 0; t < terms.rows(); ++t) {
+    if (norms[anchor] <= floor || t == anchor || norms[t] <= floor) continue;
+    scores[t] = linalg::simd::Dot(terms.RowPtr(anchor), terms.RowPtr(t),
+                                  terms.cols()) /
+                (norms[anchor] * norms[t]);
+  }
+  std::vector<SearchResult> ranked;
+  for (const SearchResult& r : ReferenceRank(scores, top_k)) {
+    if (r.score > -2.0) ranked.push_back(r);
+  }
+  return ranked;
+}
+
+void ExpectSameRanking(const std::vector<SearchResult>& actual,
+                       const std::vector<SearchResult>& expected,
+                       const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].document, expected[i].document) << label << " #" << i;
+    EXPECT_EQ(actual[i].score, expected[i].score) << label << " #" << i;
+  }
+}
+
+// On the dispatched SIMD path and on the scalar reference path, runs
+// `make()` and then `check(made, label)` at LSI_THREADS 1, 2 and 4.
+// Building under the path mirrors a process started with LSI_SIMD set:
+// the index's cached norms come from the path under test.
+template <typename Make, typename Check>
+void ForEachSimdPathAndThreads(Make make, Check check) {
+  for (bool scalar : {false, true}) {
+    if (scalar) {
+      ASSERT_TRUE(linalg::simd::SetPath(linalg::simd::Path::kScalar));
+    }
+    const auto made = make();
+    for (std::size_t threads : {1, 2, 4}) {
+      par::SetThreads(threads);
+      check(made, std::string(scalar ? "scalar" : "dispatched") +
+                      " threads=" + std::to_string(threads));
+    }
+  }
+  par::SetThreads(0);
+  linalg::simd::ResetPath();
+}
+
+// An engine over a §4 separable-model corpus, at a rank whose scan
+// grain (64k / k rows) splits both the documents and the terms into
+// several ParallelFor chunks. Besides the generated documents it holds
+// exact duplicates (three build-time copies of document 0, three
+// folded-in copies of document 1), two folded-in zero vectors, a
+// vocabulary term no document uses, and — when `tombstones` — deleted
+// documents in every chunk, including one of each duplicate group.
+struct DifferentialFixture {
+  text::Corpus corpus;
+  LsiEngine engine;
+  std::size_t live = 0;
+
+  static DifferentialFixture Make(bool tombstones) {
+    model::SeparableModelParams params;
+    params.num_topics = 6;
+    params.terms_per_topic = 100;
+    params.min_document_length = 40;
+    params.max_document_length = 80;
+    Rng rng(1313);
+    text::Corpus corpus = model::BuildSeparableModel(params)
+                              .value()
+                              .GenerateCorpus(1000, rng)
+                              .value()
+                              .corpus;
+    std::vector<text::TermId> first;
+    for (const auto& [term, count] : corpus.document(0).counts()) {
+      first.insert(first.end(), count, term);
+    }
+    for (const char* name : {"dup0a", "dup0b", "dup0c"}) {
+      EXPECT_TRUE(corpus.AddDocumentFromIds(name, first).ok());
+    }
+    corpus.AddTerm("term99999");
+    LsiEngineOptions options;
+    options.rank = 160;
+    LsiEngine engine = LsiEngine::Build(corpus, options).value();
+    std::string second;
+    for (const auto& [term, count] : corpus.document(1).counts()) {
+      for (std::size_t c = 0; c < count; ++c) {
+        second += corpus.vocabulary().terms()[term] + " ";
+      }
+    }
+    EXPECT_TRUE(engine.FoldInDocument("dup1a", second).ok());
+    EXPECT_TRUE(engine.FoldInDocument("empty", "").ok());
+    EXPECT_TRUE(engine.FoldInDocument("dup1b", second).ok());
+    EXPECT_TRUE(engine.FoldInDocument("oov", "xyzzy plugh").ok());
+    EXPECT_TRUE(engine.FoldInDocument("dup1c", second).ok());
+    if (tombstones) {
+      for (std::size_t d : {0, 5, 400, 401, 777, 1000, 1003}) {
+        EXPECT_TRUE(engine.RemoveDocument(d).ok());
+      }
+    }
+    const std::size_t live =
+        engine.NumDocuments() - engine.index().NumDeleted();
+    return {std::move(corpus), std::move(engine), live};
+  }
+};
+
+TEST(RankScoresTest, MatchesStableSortReference) {
+  Rng rng(77);
+  const double levels[] = {0.75, 0.5, 0.0, -0.0, -0.25, 1.0};
+  std::vector<double> scores(3000);
+  for (double& score : scores) {
+    score = rng.Bernoulli(0.5) ? levels[rng.UniformInt(0, 5)]
+                               : rng.Uniform(-1.0, 1.0);
+  }
+  for (std::size_t top_k : {0, 1, 10, 3005}) {
+    ExpectSameRanking(RankScores(scores, top_k), ReferenceRank(scores, top_k),
+                      "top_k=" + std::to_string(top_k));
+  }
+}
+
+// Term-space probes for Search: a two-term topic query, the term counts
+// of documents 0 and 1 (exact ties among their copies), the zero query
+// and a query orthogonal to span(U_k).
+std::vector<DenseVector> DifferentialQueries(const DifferentialFixture& fx) {
+  const LsiIndex& index = fx.engine.index();
+  const std::size_t n = index.NumTerms();
+  std::vector<DenseVector> queries(4, DenseVector(n, 0.0));
+  queries[0][3] = 1.0;
+  queries[0][17] = 2.0;
+  for (std::size_t d : {0, 1}) {
+    for (const auto& [term, count] : fx.corpus.document(d).counts()) {
+      queries[d + 1][term] = static_cast<double>(count);
+    }
+  }
+  Rng rng(5);
+  DenseVector residual = testing::RandomUnitVector(n, rng);
+  residual.Axpy(-1.0, linalg::Multiply(index.svd().u,
+                                       index.FoldInQuery(residual).value()));
+  queries.push_back(residual);
+  return queries;
+}
+
+TEST(RankScoresTest, SearchMatchesFullSortReference) {
+  for (bool tombstones : {false, true}) {
+    ForEachSimdPathAndThreads(
+        [&] { return DifferentialFixture::Make(tombstones); },
+        [&](const DifferentialFixture& fx, const std::string& setting) {
+          const LsiIndex& index = fx.engine.index();
+          ASSERT_EQ(index.NumDeleted(), tombstones ? 7u : 0u);
+          const std::vector<DenseVector> queries = DifferentialQueries(fx);
+          // The zero query scores every live document 0, in id order.
+          const auto all_zero = index.Search(queries[3], 0).value();
+          ASSERT_EQ(all_zero.size(), fx.live);
+          for (std::size_t i = 0; i < all_zero.size(); ++i) {
+            EXPECT_EQ(all_zero[i].score, 0.0);
+            if (i > 0) {
+              EXPECT_LT(all_zero[i - 1].document, all_zero[i].document);
+            }
+          }
+          // The folded copies of document 1 really tie.
+          const auto ties = index.Search(queries[2], 0).value();
+          EXPECT_TRUE(std::adjacent_find(ties.begin(), ties.end(),
+                                         [](const SearchResult& a,
+                                            const SearchResult& b) {
+                                           return a.score == b.score &&
+                                                  a.score != 0.0;
+                                         }) != ties.end());
+          for (std::size_t q = 0; q < queries.size(); ++q) {
+            for (std::size_t top_k : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{10}, fx.live + 5}) {
+              const std::string label =
+                  setting + " tombstones=" + std::to_string(tombstones) +
+                  " query=" + std::to_string(q) +
+                  " top_k=" + std::to_string(top_k);
+              ExpectSameRanking(index.Search(queries[q], top_k).value(),
+                                ReferenceSearch(index, queries[q], top_k),
+                                label);
+              const std::vector<SearchResult> all =
+                  index.Search(queries[q], 0).value();
+              std::vector<double> scores(index.NumDocuments(), 0.0);
+              for (const SearchResult& r : all) scores[r.document] = r.score;
+              ExpectSameRanking(RankScores(scores, top_k),
+                                ReferenceRank(scores, top_k),
+                                label + " RankScores");
+            }
+          }
+        });
+  }
+}
+
+TEST(RankScoresTest, RelatedTermsMatchFullSortReference) {
+  ForEachSimdPathAndThreads(
+      [] { return DifferentialFixture::Make(true); },
+      [](const DifferentialFixture& fx, const std::string& setting) {
+    const LsiIndex& index = fx.engine.index();
+    const std::vector<std::string>& terms = fx.corpus.vocabulary().terms();
+    // Terms in the first and the last scan chunk, and the unused term,
+    // which folds to nothing and so has no related terms.
+    for (std::size_t anchor :
+         {std::size_t{0}, std::size_t{417}, terms.size() - 1}) {
+      for (std::size_t top_k : {std::size_t{0}, std::size_t{1},
+                                std::size_t{10}, terms.size() + 5}) {
+        const std::string label = setting + " anchor=" + terms[anchor] +
+                                  " top_k=" + std::to_string(top_k);
+        const auto related = fx.engine.RelatedTerms(terms[anchor], top_k);
+        ASSERT_TRUE(related.ok()) << label << related.status().ToString();
+        const auto expected = ReferenceRelatedTerms(index, anchor, top_k);
+        ASSERT_EQ(related->size(), expected.size()) << label;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ((*related)[i].term, terms[expected[i].document]) << label;
+          EXPECT_EQ((*related)[i].score, expected[i].score) << label;
+        }
+      }
+    }
+    EXPECT_TRUE(fx.engine.RelatedTerms("term99999", 0)->empty());
+  });
 }
 
 }  // namespace

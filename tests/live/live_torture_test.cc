@@ -17,8 +17,13 @@
 namespace lsi::live {
 namespace {
 
+// Prefixed with the running test's name: ctest runs each test as its own
+// process, in parallel, so fixed names would race across tests.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 text::Corpus BaseCorpus() {
