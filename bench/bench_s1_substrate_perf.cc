@@ -1,7 +1,7 @@
 // Substrate performance: throughput of the kernels everything else sits
 // on — sparse mat-vec, dense QR, random projection application, the text
-// pipeline (tokenize + stop-words + Porter stemming), and alias-method
-// sampling. Not a paper experiment; tracks regressions in the hot paths.
+// pipeline (tokenize + stop-words + Porter stemming), alias-method
+// sampling, and the query fold-in. Not a paper experiment; tracks regressions in the hot paths.
 
 #include <cmath>
 #include <string>
@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "core/lsi_index.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/operators.h"
 #include "linalg/qr.h"
@@ -250,8 +251,35 @@ void BM_GemmPath(benchmark::State& state, lsi::linalg::simd::Path path) {
   lsi::par::SetThreads(0);
 }
 
+// The query fold-in stage, q_k = U_k^T q, for a 4-term query against a
+// range(0)-term vocabulary at rank 100: LsiIndex::Fold walks only the
+// query's rows of U_k, so the cost should not grow with the vocabulary.
+// U_k is Gaussian (the kernel's cost does not depend on its values).
+void BM_FoldInQuery(benchmark::State& state) {
+  const std::size_t terms = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRank = 100;
+  lsi::Rng rng(41);
+  lsi::linalg::SvdResult svd;
+  svd.u = lsi::linalg::GaussianMatrix(terms, kRank, rng);
+  svd.singular_values = lsi::linalg::DenseVector(kRank, 1.0);
+  svd.v = lsi::linalg::GaussianMatrix(kRank, kRank, rng);
+  const lsi::core::LsiIndex index =
+      lsi::bench::Unwrap(lsi::core::LsiIndex::FromSvd(std::move(svd)),
+                         "FromSvd");
+  const lsi::core::TermWeights query = {{terms / 7, 1.0},
+                                        {terms / 3, 0.5},
+                                        {terms / 2, 2.0},
+                                        {terms - 1, 0.25}};
+  for (auto _ : state) {
+    auto folded = index.Fold(query);
+    benchmark::DoNotOptimize(folded);
+  }
+}
+
 }  // namespace
 
+BENCHMARK(BM_FoldInQuery)->Arg(5000)->Arg(50000)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SparseMatVec)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SparseMatVecTranspose)->Arg(500)->Arg(2000)

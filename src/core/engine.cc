@@ -94,8 +94,13 @@ Result<std::vector<EngineHit>> LsiEngine::ToHits(
 Result<std::vector<EngineHit>> LsiEngine::Query(std::string_view query_text,
                                                 std::size_t top_k) const {
   Timer latency;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("lsi.engine.queries").Increment();
+  // Resolved once: registry references are stable for its lifetime.
+  static obs::Counter& queries =
+      obs::MetricsRegistry::Global().GetCounter("lsi.engine.queries");
+  static obs::Histogram& latency_ms =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "lsi.engine.query.latency_ms");
+  queries.Increment();
   obs::ScopedSpan query_span("engine.query");
 
   std::vector<std::pair<std::size_t, std::size_t>> counts;
@@ -106,20 +111,27 @@ Result<std::vector<EngineHit>> LsiEngine::Query(std::string_view query_text,
 
   Result<std::vector<EngineHit>> hits = std::vector<EngineHit>{};
   if (!counts.empty()) {
-    linalg::DenseVector query(NumTerms(), 0.0);
+    TermWeights query;
     {
       obs::ScopedSpan span("weight");
-      for (const auto& [term, count] : counts) {
-        query[term] =
-            text::LocalTermWeight(weighting_, count) * global_weights_[term];
-      }
+      query = Weigh(counts);
     }
     // LsiIndex::Search opens the "score" child span.
     hits = ToHits(index_.Search(query, top_k));
   }
-  registry.GetHistogram("lsi.engine.query.latency_ms")
-      .Observe(latency.ElapsedMillis());
+  latency_ms.Observe(latency.ElapsedMillis());
   return hits;
+}
+
+TermWeights LsiEngine::Weigh(
+    const std::vector<std::pair<std::size_t, std::size_t>>& counts) const {
+  TermWeights weights;
+  weights.reserve(counts.size());
+  for (const auto& [term, count] : counts) {
+    weights.emplace_back(term, text::LocalTermWeight(weighting_, count) *
+                                   global_weights_[term]);
+  }
+  return weights;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> LsiEngine::AnalyzeQueryCounts(
@@ -134,9 +146,13 @@ std::vector<std::pair<std::size_t, std::size_t>> LsiEngine::AnalyzeQueryCounts(
 
 Result<std::vector<std::vector<EngineHit>>> LsiEngine::QueryBatch(
     const std::vector<std::string>& queries, std::size_t top_k) const {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("lsi.engine.batch_queries").Increment();
-  registry.GetCounter("lsi.engine.batch_query_items").Increment(queries.size());
+  static obs::Counter& batches =
+      obs::MetricsRegistry::Global().GetCounter("lsi.engine.batch_queries");
+  static obs::Counter& batch_items =
+      obs::MetricsRegistry::Global().GetCounter(
+          "lsi.engine.batch_query_items");
+  batches.Increment();
+  batch_items.Increment(queries.size());
   // No enclosing span: each query records its usual "engine.query" span,
   // and span paths thread-locally nest — a batch span would prefix only
   // the queries that happen to run on the submitting thread.
@@ -207,14 +223,11 @@ Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
 
 Result<LsiEngine::FoldInResult> LsiEngine::FoldInDocument(
     std::string_view name, std::string_view text) {
-  linalg::DenseVector vec(NumTerms(), 0.0);
-  for (const auto& [term, count] : AnalyzeQueryCounts(text)) {
-    vec[term] = text::LocalTermWeight(weighting_, count) *
-                global_weights_[term];
-  }
   FoldInResult result;
-  LSI_ASSIGN_OR_RETURN(result.document,
-                       index_.FoldInDocument(vec, &result.residual_angle));
+  LSI_ASSIGN_OR_RETURN(
+      result.document,
+      index_.FoldInDocument(Weigh(AnalyzeQueryCounts(text)),
+                            &result.residual_angle));
   document_names_.emplace_back(name);
   return result;
 }

@@ -133,6 +133,11 @@ class LsiEngine {
   Result<std::vector<EngineHit>> ToHits(
       Result<std::vector<SearchResult>> results) const;
 
+  // The weighted term vector of AnalyzeQueryCounts output: local weight
+  // of each count times the term's global weight, ids kept in order.
+  TermWeights Weigh(
+      const std::vector<std::pair<std::size_t, std::size_t>>& counts) const;
+
   LsiIndex index_;
   text::WeightingScheme weighting_;
   text::Analyzer analyzer_;

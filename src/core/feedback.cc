@@ -9,10 +9,12 @@ Result<linalg::DenseVector> RocchioExpandQuery(
     return Status::InvalidArgument(
         "Rocchio: feedback_documents must be >= 1");
   }
-  LSI_ASSIGN_OR_RETURN(linalg::DenseVector folded, index.FoldInQuery(query));
-  LSI_ASSIGN_OR_RETURN(
-      std::vector<SearchResult> first_pass,
-      index.Search(query, options.feedback_documents));
+  // One fold serves both the first pass (ranked as Search ranks it) and
+  // the expansion.
+  LSI_ASSIGN_OR_RETURN(FoldedVector fold, index.Fold(query));
+  const std::vector<SearchResult> first_pass = index.ScanTopK(
+      LsiIndex::Rows::kDocuments, fold.Probe(), options.feedback_documents);
+  const linalg::DenseVector& folded = fold.latent;
 
   linalg::DenseVector centroid(index.rank(), 0.0);
   std::size_t used = 0;

@@ -68,7 +68,28 @@ void Offer(std::vector<SearchResult>& best, const SearchResult& r,
   }
 }
 
+// The nonzero entries of a dense term-space vector, by ascending term:
+// what the dense entry points hand to the sparse ones. Fails unless the
+// vector has `num_terms` entries.
+Result<TermWeights> Nonzeros(const linalg::DenseVector& v,
+                             std::size_t num_terms) {
+  if (v.size() != num_terms) {
+    return Status::InvalidArgument(
+        "LsiIndex: term-space vector dimension must equal the number of "
+        "terms");
+  }
+  TermWeights terms;
+  for (std::size_t t = 0; t < v.size(); ++t) {
+    if (v[t] != 0.0) terms.emplace_back(t, v[t]);
+  }
+  return terms;
+}
+
 }  // namespace
+
+const double* FoldedVector::Probe() const {
+  return latent.Norm() <= kFloorRatio * term_norm ? nullptr : latent.data();
+}
 
 LsiIndex::LsiIndex(linalg::SvdResult svd) : svd_(std::move(svd)) {
   obs::ScopedSpan span("project");
@@ -165,33 +186,59 @@ Result<LsiIndex> LsiIndex::FromSvd(linalg::SvdResult svd) {
   return LsiIndex(std::move(svd));
 }
 
-Result<std::size_t> LsiIndex::FoldInDocument(
-    const linalg::DenseVector& term_vector, double* residual_angle) {
-  if (term_vector.size() != NumTerms()) {
-    return Status::InvalidArgument(
-        "FoldInDocument: vector dimension must equal the number of terms");
+Result<FoldedVector> LsiIndex::Fold(const TermWeights& terms) const {
+  const std::size_t k = rank();
+  FoldedVector folded{linalg::DenseVector(k, 0.0), 0.0};
+  double squared_norm = 0.0;
+  std::size_t min_term = 0;
+  for (const auto& [term, weight] : terms) {
+    if (term < min_term || term >= NumTerms()) {
+      return Status::InvalidArgument(
+          "Fold: term ids must ascend strictly and be below the number of "
+          "terms");
+    }
+    min_term = term + 1;
+    if (weight == 0.0) continue;
+    linalg::simd::Axpy(folded.latent.data(), weight, svd_.u.RowPtr(term), k);
+    squared_norm += weight * weight;
   }
-  linalg::DenseVector folded =
-      linalg::MultiplyTranspose(svd_.u, term_vector);
+  folded.term_norm = std::sqrt(squared_norm);
+  return folded;
+}
+
+Result<FoldedVector> LsiIndex::Fold(const linalg::DenseVector& vector) const {
+  LSI_ASSIGN_OR_RETURN(TermWeights terms, Nonzeros(vector, NumTerms()));
+  return Fold(terms);
+}
+
+Result<std::size_t> LsiIndex::FoldInDocument(const TermWeights& document,
+                                             double* residual_angle) {
+  LSI_ASSIGN_OR_RETURN(FoldedVector folded, Fold(document));
+  const double folded_norm = folded.latent.Norm();
   if (residual_angle != nullptr) {
     // U_k has orthonormal columns, so ||U_k^T d|| is the length of d's
     // projection onto span(U_k) and the residual angle is
     // acos(||U_k^T d|| / ||d||). Guard rounding: the ratio can exceed 1
     // by an ulp. A zero document projects exactly (angle 0).
-    const double document_norm = term_vector.Norm();
-    if (document_norm == 0.0) {
+    if (folded.term_norm == 0.0) {
       *residual_angle = 0.0;
     } else {
       const double ratio =
-          std::min(1.0, std::max(0.0, folded.Norm() / document_norm));
+          std::min(1.0, std::max(0.0, folded_norm / folded.term_norm));
       *residual_angle = std::acos(ratio);
     }
   }
-  document_vectors_.AppendRow(folded);
-  document_norms_.push_back(folded.Norm());
-  max_document_norm_ = std::max(max_document_norm_, document_norms_.back());
+  document_vectors_.AppendRow(folded.latent);
+  document_norms_.push_back(folded_norm);
+  max_document_norm_ = std::max(max_document_norm_, folded_norm);
   deleted_.push_back(0);
   return NumDocuments() - 1;
+}
+
+Result<std::size_t> LsiIndex::FoldInDocument(
+    const linalg::DenseVector& term_vector, double* residual_angle) {
+  LSI_ASSIGN_OR_RETURN(TermWeights terms, Nonzeros(term_vector, NumTerms()));
+  return FoldInDocument(terms, residual_angle);
 }
 
 Status LsiIndex::MarkDeleted(std::size_t j) {
@@ -242,21 +289,21 @@ linalg::DenseVector LsiIndex::TermVector(std::size_t t) const {
 
 Result<linalg::DenseVector> LsiIndex::FoldInQuery(
     const linalg::DenseVector& query) const {
-  if (query.size() != NumTerms()) {
-    return Status::InvalidArgument(
-        "FoldInQuery: query dimension must equal the number of terms");
-  }
-  return linalg::MultiplyTranspose(svd_.u, query);
+  LSI_ASSIGN_OR_RETURN(FoldedVector folded, Fold(query));
+  return std::move(folded.latent);
+}
+
+Result<std::vector<SearchResult>> LsiIndex::Search(
+    const TermWeights& query, std::size_t top_k) const {
+  obs::ScopedSpan span("score");
+  LSI_ASSIGN_OR_RETURN(FoldedVector folded, Fold(query));
+  return ScanTopK(Rows::kDocuments, folded.Probe(), top_k);
 }
 
 Result<std::vector<SearchResult>> LsiIndex::Search(
     const linalg::DenseVector& query, std::size_t top_k) const {
-  obs::ScopedSpan span("score");
-  LSI_ASSIGN_OR_RETURN(linalg::DenseVector folded, FoldInQuery(query));
-  // A query orthogonal to the latent subspace scores everything 0.
-  const bool degenerate = folded.Norm() <= kFloorRatio * query.Norm();
-  return ScanTopK(Rows::kDocuments, degenerate ? nullptr : folded.data(),
-                  top_k);
+  LSI_ASSIGN_OR_RETURN(TermWeights terms, Nonzeros(query, NumTerms()));
+  return Search(terms, top_k);
 }
 
 bool LsiIndex::IsFloorRow(Rows rows, std::size_t j) const {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -23,6 +24,24 @@ namespace lsi::core {
 struct SearchResult {
   std::size_t document = 0;
   double score = 0.0;
+};
+
+/// A sparse term-space vector: (term id, weight) pairs with strictly
+/// ascending term ids — the shape LsiEngine::AnalyzeQueryCounts yields.
+using TermWeights = std::vector<std::pair<std::size_t, double>>;
+
+/// A term-space vector q folded into the latent space.
+struct FoldedVector {
+  /// q_k = U_k^T q (rank() entries).
+  linalg::DenseVector latent;
+  /// ||q|| in term space.
+  double term_norm = 0.0;
+
+  /// The ScanTopK probe for q: latent's data, or nullptr when q is
+  /// (numerically) orthogonal to span(U_k) — ||q_k|| at most 1e-12
+  /// ||q||, which includes the zero vector — so every candidate
+  /// scores 0.
+  const double* Probe() const;
 };
 
 /// Which truncated-SVD backend LsiIndex uses.
@@ -103,13 +122,33 @@ class LsiIndex {
   /// Copy of term t's latent vector (row t of TermVectors()).
   linalg::DenseVector TermVector(std::size_t t) const;
 
+  /// The fold-in kernel behind every query and document fold-in:
+  /// q_k = U_k^T q = sum_t w_t U_k[t,:] over q's nonzero terms only, so
+  /// it costs O(nnz k), not O(n k). Rows are added in ascending term
+  /// order (one simd::Axpy over each k-length row), and the term-space
+  /// norm sums w_t^2 in the same order. Zero weights are skipped. Fails
+  /// when a term id is out of range or the ids are not strictly
+  /// ascending.
+  Result<FoldedVector> Fold(const TermWeights& terms) const;
+
+  /// Fold over a dense term-space vector (dimension n; fails on
+  /// mismatch): gathers its nonzeros in one pass and folds those.
+  Result<FoldedVector> Fold(const linalg::DenseVector& vector) const;
+
   /// Folds a term-space query vector (dimension n) into the latent
-  /// space: returns U_k^T q. Fails on dimension mismatch.
+  /// space: returns U_k^T q (Fold's latent vector). Fails on dimension
+  /// mismatch.
   Result<linalg::DenseVector> FoldInQuery(
       const linalg::DenseVector& query) const;
 
-  /// Ranks all documents by cosine similarity to `query` (a term-space
-  /// vector) in the latent space; returns the best `top_k` (all if 0).
+  /// Ranks all documents by cosine similarity to the folded `query` in
+  /// the latent space; returns the best `top_k` (all if 0). A query
+  /// orthogonal to span(U_k) scores every document 0.
+  Result<std::vector<SearchResult>> Search(const TermWeights& query,
+                                           std::size_t top_k = 0) const;
+
+  /// Search over a dense term-space vector (dimension n; fails on
+  /// mismatch): gathers its nonzeros and searches those.
   Result<std::vector<SearchResult>> Search(const linalg::DenseVector& query,
                                            std::size_t top_k = 0) const;
 
@@ -153,6 +192,12 @@ class LsiIndex {
   /// live layer aggregates to decide when a re-SVD is due (the paper's
   /// §4 perturbation analysis bounds subspace quality in exactly these
   /// terms). A zero document reports 0 (it is represented exactly).
+  /// Fails like Fold on a bad term id.
+  Result<std::size_t> FoldInDocument(const TermWeights& document,
+                                     double* residual_angle = nullptr);
+
+  /// FoldInDocument over a dense term vector (dimension n; fails on
+  /// mismatch): gathers its nonzeros and folds those.
   Result<std::size_t> FoldInDocument(const linalg::DenseVector& term_vector,
                                      double* residual_angle = nullptr);
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/engine.h"
+#include "model/separable_model.h"
 #include "text/analyzer.h"
 
 namespace lsi::live {
@@ -221,6 +223,71 @@ TEST(LiveEngineTest, ReplayRestoresAcknowledgedWritesExactly) {
         << probe_queries[i];
   }
   ASSERT_TRUE((*live)->Close().ok());
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return "";
+  std::string bytes;
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    bytes.append(buffer, n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// Live writes fold in over their few terms of a 20,000-term vocabulary
+// (a §4 separable-model corpus at rank 100); replaying the WAL after a
+// restart must fold them to the very same bytes.
+TEST(LiveEngineTest, WideVocabularyReplaySavesByteIdentical) {
+  model::SeparableModelParams params;
+  params.num_topics = 20;
+  params.terms_per_topic = 1000;
+  params.min_document_length = 40;
+  params.max_document_length = 80;
+  Rng rng(1515);
+  const text::Corpus corpus = model::BuildSeparableModel(params)
+                                  .value()
+                                  .GenerateCorpus(300, rng)
+                                  .value()
+                                  .corpus;
+  const std::vector<std::string>& terms = corpus.vocabulary().terms();
+  ASSERT_EQ(terms.size(), 20000u);
+  LiveOptions options;
+  options.engine.rank = 100;
+  options.background_refresh = false;
+  const std::string path = TempPath("live_wide_replay.log");
+  std::remove(path.c_str());
+
+  std::string kept_running;
+  {
+    auto live = LiveEngine::Open(corpus, path, options);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_TRUE((*live)->Add("w1", terms[3] + " " + terms[3] + " " +
+                                       terms[1200] + " " + terms[19999])
+                    .ok());
+    ASSERT_TRUE((*live)->Update(corpus.document(7).name(),
+                                terms[4321] + " " + terms[8000])
+                    .ok());
+    ASSERT_TRUE((*live)->Delete(corpus.document(11).name()).ok());
+    ASSERT_TRUE((*live)->Add("w2", terms[15000] + " unknownword").ok());
+    ASSERT_TRUE((*live)->Update("w1", terms[42]).ok());
+    const std::string saved = TempPath("live_wide_kept.bin");
+    ASSERT_TRUE((*live)->Snapshot()->Save(saved).ok());
+    kept_running = ReadBytes(saved);
+    ASSERT_TRUE((*live)->Close().ok());
+  }
+
+  auto restarted = LiveEngine::Open(corpus, path, options);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_EQ((*restarted)->stats().wal_records, 5u);
+  const std::string saved = TempPath("live_wide_restarted.bin");
+  ASSERT_TRUE((*restarted)->Snapshot()->Save(saved).ok());
+  EXPECT_EQ(ReadBytes(saved), kept_running);
+  ASSERT_TRUE((*restarted)->Close().ok());
 }
 
 TEST(LiveEngineTest, OpenRefusesMismatchedCorpus) {
