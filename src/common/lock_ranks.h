@@ -3,19 +3,29 @@
 
 /// The process-wide lock rank table.
 ///
-/// Rank rule: a thread may only acquire a lock whose rank is >= the
-/// rank of every ranked lock it already holds (equal ranks are allowed
-/// so unordered sibling locks can coexist; the acquired-before graph
-/// still catches real cycles among them). Ranks therefore encode the
+/// Rank rule (strict): a thread may acquire a ranked lock only if its
+/// rank is strictly greater than the rank of every ranked lock it
+/// already holds. Equal ranks — including a second instance of the
+/// same lock class — are a rank inversion. Ranks therefore encode the
 /// permitted nesting direction: LOW ranks are the outermost locks
 /// (taken first, at the top of a call chain), HIGH ranks are leaves.
 ///
+/// Why one rule is enough: every constant below is distinct, so every
+/// lock class has its own rank. A cycle of classes must then descend
+/// in rank somewhere, and the first acquisition along that descending
+/// edge is reported at once, in the thread that makes it; an
+/// acquired-before graph would never report a cycle this check missed.
+/// tools/lsi_lint.py's rank-table rule rejects two constants with one
+/// value, which is what keeps the argument sound.
+///
 /// Every lsi::Mutex member in src/ must be constructed with
 /// LSI_LOCK_RANK("<subsystem>.<name>", lock_rank::kConstant) using a
-/// constant from this table; tools/lsi_structcheck.py enforces that
-/// statically (mutex-rank, rank-unique, rank-table rules) and the
-/// runtime detector (src/dbg/lock_tracker.h, LSI_DEADLOCK_DETECT=1)
-/// enforces the ordering dynamically.
+/// constant from this table; tools/lsi_lint.py enforces that statically
+/// (mutex-rank, rank-unique, rank-table rules) and the runtime detector
+/// (src/dbg/lock_tracker.h, LSI_DEADLOCK_DETECT=1) enforces the
+/// ordering dynamically. TSan's lock-order-inversion detector does not
+/// replace the runtime check; DESIGN.md ("Lock-order analysis") records
+/// the cases only the rank check catches.
 ///
 /// Bands leave gaps so new locks slot in without renumbering.
 
@@ -26,14 +36,13 @@
 ///
 ///   Mutex mutex_{LSI_LOCK_RANK("obs.metrics", lock_rank::kObsMetrics)};
 ///
-/// Same shape as LSI_FAULT_POINT: a function-local static makes the
-/// registry lookup once per site, so constructing the Nth instance of a
-/// sharded lock costs a static-init check, not a map probe.
-#define LSI_LOCK_RANK(name, rank)                                   \
-  ([]() -> const ::lsi::dbg::LockRankInfo* {                        \
-    static const ::lsi::dbg::LockRankInfo* const lsi_lock_rank_info = \
-        ::lsi::dbg::RegisterLockRank(name, rank);                   \
-    return lsi_lock_rank_info;                                      \
+/// Expands to a pointer to a function-local constant: no registration,
+/// no lookup, nothing to initialise at run time.
+#define LSI_LOCK_RANK(name, rank)                                  \
+  ([]() -> const ::lsi::dbg::LockRankInfo* {                       \
+    static constexpr ::lsi::dbg::LockRankInfo lsi_lock_rank_info{  \
+        name, rank};                                               \
+    return &lsi_lock_rank_info;                                    \
   }())
 
 namespace lsi::lock_rank {

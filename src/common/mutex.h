@@ -19,11 +19,11 @@ namespace lsi {
 /// A Mutex may additionally carry a lock rank (LSI_LOCK_RANK,
 /// common/lock_ranks.h). Ranked mutexes participate in the runtime
 /// deadlock detector (src/dbg/lock_tracker.h): under
-/// LSI_DEADLOCK_DETECT=1 every acquisition is checked against the
-/// holder's stack and the global acquired-before graph, with the real
-/// acquisition site captured via std::source_location default
-/// arguments — call sites stay unchanged. With the detector off the
-/// cost is one relaxed atomic load and branch per lock operation.
+/// LSI_DEADLOCK_DETECT=1 every acquisition is checked against the ranks
+/// on the holder's stack, with the real acquisition site captured via
+/// std::source_location default arguments — call sites stay unchanged.
+/// With the detector off the cost is one relaxed atomic load and branch
+/// per lock operation.
 ///
 /// Prefer MutexLock over calling Lock()/Unlock() directly.
 class LSI_CAPABILITY("mutex") Mutex {

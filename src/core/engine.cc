@@ -47,8 +47,10 @@ Result<LsiEngine> LsiEngine::Build(const text::Corpus& corpus,
   if (corpus.NumDocuments() == 0 || corpus.NumTerms() == 0) {
     return Status::InvalidArgument("LsiEngine: empty corpus");
   }
+  static obs::Counter& builds =
+      obs::MetricsRegistry::Global().GetCounter("lsi.engine.builds");
+  builds.Increment();
   obs::ScopedSpan build_span("engine.build");
-  obs::MetricsRegistry::Global().GetCounter("lsi.engine.builds").Increment();
 
   linalg::SparseMatrix matrix(0, 0);
   {
@@ -175,10 +177,10 @@ Result<std::vector<std::vector<EngineHit>>> LsiEngine::QueryBatch(
 
 Result<std::vector<EngineHit>> LsiEngine::MoreLikeThis(
     std::size_t document, std::size_t top_k) const {
+  static obs::Counter& calls = obs::MetricsRegistry::Global().GetCounter(
+      "lsi.engine.more_like_this_calls");
+  calls.Increment();
   obs::ScopedSpan span("engine.more_like_this");
-  obs::MetricsRegistry::Global()
-      .GetCounter("lsi.engine.more_like_this_calls")
-      .Increment();
   if (document >= NumDocuments()) {
     return Status::OutOfRange("MoreLikeThis: document index out of range");
   }
@@ -196,10 +198,10 @@ Result<std::vector<EngineHit>> LsiEngine::MoreLikeThis(
 
 Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
     std::string_view term, std::size_t top_k) const {
+  static obs::Counter& calls = obs::MetricsRegistry::Global().GetCounter(
+      "lsi.engine.related_terms_calls");
+  calls.Increment();
   obs::ScopedSpan span("engine.related_terms");
-  obs::MetricsRegistry::Global()
-      .GetCounter("lsi.engine.related_terms_calls")
-      .Increment();
   std::vector<std::string> analyzed = analyzer_.Analyze(term);
   if (analyzed.size() != 1) {
     return Status::InvalidArgument(

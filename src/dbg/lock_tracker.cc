@@ -1,69 +1,19 @@
 #include "dbg/lock_tracker.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <iterator>
-#include <map>
-#include <mutex>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 // Layering note: this file sits below common, so it must not use
 // lsi::Mutex (it implements its tracking), LSI_LOG / LSI_CHECK (logging
-// takes an lsi::Mutex), or lsi::obs. State is guarded by a raw
-// std::mutex and fatal reports go straight to stderr.
+// takes an lsi::Mutex), or lsi::obs. All tracking state is per thread;
+// fatal reports go straight to stderr.
 
 namespace lsi::dbg {
 namespace {
-
-struct Site {
-  const char* file = "?";
-  unsigned line = 0;
-  const char* function = "?";
-};
-
-Site MakeSite(const std::source_location& loc) {
-  return Site{loc.file_name(), loc.line(), loc.function_name()};
-}
-
-std::string FormatSite(const Site& site) {
-  return std::string(site.file) + ":" + std::to_string(site.line) + " (" +
-         site.function + ")";
-}
-
-struct LockClass {
-  LockRankInfo info;
-  std::atomic<uint64_t> acquisitions{0};
-};
-
-struct Edge {
-  uint64_t count = 0;
-  Site from_site;  // where `from` was held when the edge first appeared
-  Site to_site;    // where `to` was being acquired at that moment
-};
-
-struct Registry {
-  std::mutex mu;
-  // deque: stable element addresses so LockRankInfo pointers survive
-  // growth. Classes are never removed.
-  std::deque<LockClass> classes;
-  std::unordered_map<std::string_view, uint32_t> by_name;
-  std::map<std::pair<uint32_t, uint32_t>, Edge> edges;
-  std::vector<std::vector<uint32_t>> adj;  // edge keys, for cycle DFS
-};
-
-Registry& Reg() {
-  // Leaked singleton: lock classes register from static initialisers
-  // and threads may release locks during process teardown, so the
-  // registry must outlive every static destructor.
-  static Registry* reg = new Registry;
-  return *reg;
-}
 
 std::atomic<uint64_t> g_violations{0};
 std::atomic<ViolationHandler> g_handler{nullptr};
@@ -71,40 +21,14 @@ std::atomic<ViolationHandler> g_handler{nullptr};
 struct HeldLock {
   const LockRankInfo* info;
   const void* mutex;
-  Site site;
+  std::source_location site;
 };
 
 thread_local std::vector<HeldLock> t_held;
 
-void ReportViolation(const char* kind, std::string message) {
-  g_violations.fetch_add(1, std::memory_order_relaxed);
-  ViolationHandler handler = g_handler.load(std::memory_order_acquire);
-  if (handler != nullptr) {
-    Violation violation{kind, std::move(message)};
-    handler(violation);
-    return;
-  }
-  std::fprintf(stderr, "LSI_DEADLOCK_DETECT: %s\n%s\n", kind,
-               message.c_str());
-  std::fflush(stderr);
-  std::abort();
-}
-
-/// DFS over the acquired-before graph; fills `path` with the node
-/// sequence from `node` to `target` inclusive when one exists.
-/// Caller holds Reg().mu.
-bool FindPath(const Registry& reg, uint32_t node, uint32_t target,
-              std::vector<char>& visited, std::vector<uint32_t>& path) {
-  visited[node] = 1;
-  path.push_back(node);
-  if (node == target) return true;
-  for (uint32_t next : reg.adj[node]) {
-    if (!visited[next] && FindPath(reg, next, target, visited, path)) {
-      return true;
-    }
-  }
-  path.pop_back();
-  return false;
+std::string FormatSite(const std::source_location& site) {
+  return std::string(site.file_name()) + ":" + std::to_string(site.line()) +
+         " (" + site.function_name() + ")";
 }
 
 std::string DescribeLock(const LockRankInfo* info) {
@@ -112,31 +36,17 @@ std::string DescribeLock(const LockRankInfo* info) {
          std::to_string(info->rank) + ")";
 }
 
-/// Builds the cycle report: the acquisition being attempted plus the
-/// first-seen sites of every recorded edge on the path back. Caller
-/// holds Reg().mu.
-std::string DescribeCycle(const Registry& reg, const HeldLock& held,
-                          const LockRankInfo* acquiring, const Site& here,
-                          const std::vector<uint32_t>& path) {
-  std::string msg = "lock-order cycle: acquiring " + DescribeLock(acquiring) +
-                    " while holding " + DescribeLock(held.info) +
-                    " closes a cycle in the acquired-before graph:\n";
-  msg += "  " + std::string(held.info->name) + " -> " + acquiring->name +
-         ": holding at " + FormatSite(held.site) + ", acquiring at " +
-         FormatSite(here) + "  <-- this acquisition\n";
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto it = reg.edges.find({path[i], path[i + 1]});
-    const LockClass& from = reg.classes[path[i]];
-    const LockClass& to = reg.classes[path[i + 1]];
-    msg += "  " + std::string(from.info.name) + " -> " + to.info.name;
-    if (it != reg.edges.end()) {
-      msg += ": first held at " + FormatSite(it->second.from_site) +
-             ", acquired at " + FormatSite(it->second.to_site);
-    }
-    msg += "\n";
+void ReportViolation(std::string message) {
+  g_violations.fetch_add(1, std::memory_order_relaxed);
+  ViolationHandler handler = g_handler.load(std::memory_order_acquire);
+  if (handler != nullptr) {
+    handler(Violation{"rank-inversion", std::move(message)});
+    return;
   }
-  msg += "lock ranks are documented in src/common/lock_ranks.h";
-  return msg;
+  std::fprintf(stderr, "LSI_DEADLOCK_DETECT: rank-inversion\n%s\n",
+               message.c_str());
+  std::fflush(stderr);
+  std::abort();
 }
 
 }  // namespace
@@ -167,108 +77,30 @@ ViolationHandler SetViolationHandler(ViolationHandler handler) {
   return g_handler.exchange(handler, std::memory_order_acq_rel);
 }
 
-const LockRankInfo* RegisterLockRank(const char* name, int rank) {
-  Registry& reg = Reg();
-  const LockRankInfo* out;
-  std::string conflict;
-  {
-    std::lock_guard<std::mutex> guard(reg.mu);
-    auto it = reg.by_name.find(name);
-    if (it != reg.by_name.end()) {
-      LockClass& existing = reg.classes[it->second];
-      if (existing.info.rank != rank) {
-        conflict = std::string("lock class \"") + name +
-                   "\" registered with rank " +
-                   std::to_string(existing.info.rank) + " and again with rank " +
-                   std::to_string(rank) +
-                   "; every LSI_LOCK_RANK site for one name must agree "
-                   "(see src/common/lock_ranks.h)";
-      }
-      out = &existing.info;
-    } else {
-      const uint32_t id = static_cast<uint32_t>(reg.classes.size());
-      LockClass& cls = reg.classes.emplace_back();
-      cls.info = LockRankInfo{name, rank, id};
-      reg.by_name.emplace(cls.info.name, id);
-      reg.adj.emplace_back();
-      out = &cls.info;
-    }
-  }
-  if (!conflict.empty()) ReportViolation("rank-conflict", std::move(conflict));
-  return out;
+uint64_t ViolationCount() {
+  return g_violations.load(std::memory_order_relaxed);
 }
 
 void OnAcquire(const LockRankInfo* info, const void* mutex,
                const std::source_location& loc) {
   if (info == nullptr) return;
-  Registry& reg = Reg();
-  const Site here = MakeSite(loc);
-  // kind + message pairs, reported only after reg.mu is released so a
-  // test handler may safely inspect the tracker.
-  std::vector<std::pair<const char*, std::string>> pending;
-
   for (const HeldLock& held : t_held) {
-    if (held.info->id == info->id) {
-      pending.emplace_back(
-          "cycle",
-          "lock-order cycle: lock class " + DescribeLock(info) +
-              " acquired recursively\n  first acquired at " +
-              FormatSite(held.site) + "\n  acquired again at " +
-              FormatSite(here) +
-              "\nlock ranks are documented in src/common/lock_ranks.h");
-    } else if (held.info->rank > info->rank) {
-      pending.emplace_back(
-          "rank-inversion",
-          "lock rank inversion: acquiring " + DescribeLock(info) +
-              " while holding the higher-ranked " + DescribeLock(held.info) +
-              "\n  held:      " + DescribeLock(held.info) + " acquired at " +
-              FormatSite(held.site) + "\n  acquiring: " + DescribeLock(info) +
-              " at " + FormatSite(here) +
-              "\nlock ranks are documented in src/common/lock_ranks.h");
-    }
+    if (held.info->rank < info->rank) continue;
+    ReportViolation(
+        "lock rank inversion: acquiring " + DescribeLock(info) +
+        " while holding " + DescribeLock(held.info) +
+        "; ranks must strictly increase\n  held:      " +
+        DescribeLock(held.info) + " acquired at " + FormatSite(held.site) +
+        "\n  acquiring: " + DescribeLock(info) + " at " + FormatSite(loc) +
+        "\nlock ranks are documented in src/common/lock_ranks.h");
   }
-
-  {
-    std::lock_guard<std::mutex> guard(reg.mu);
-    reg.classes[info->id].acquisitions.fetch_add(1,
-                                                 std::memory_order_relaxed);
-    for (const HeldLock& held : t_held) {
-      const auto key = std::make_pair(held.info->id, info->id);
-      auto it = reg.edges.find(key);
-      if (it != reg.edges.end()) {
-        ++it->second.count;
-        continue;
-      }
-      if (held.info->id != info->id) {
-        // New edge: does the reverse direction already have a path?
-        std::vector<char> visited(reg.classes.size(), 0);
-        std::vector<uint32_t> path;
-        if (FindPath(reg, info->id, held.info->id, visited, path)) {
-          pending.emplace_back(
-              "cycle", DescribeCycle(reg, held, info, here, path));
-        }
-      }
-      reg.edges.emplace(key, Edge{1, held.site, here});
-      reg.adj[held.info->id].push_back(info->id);
-    }
-  }
-
-  t_held.push_back(HeldLock{info, mutex, here});
-  for (auto& [kind, message] : pending) {
-    ReportViolation(kind, std::move(message));
-  }
+  t_held.push_back(HeldLock{info, mutex, loc});
 }
 
 void OnTryAcquire(const LockRankInfo* info, const void* mutex,
                   const std::source_location& loc) {
   if (info == nullptr) return;
-  {
-    Registry& reg = Reg();
-    std::lock_guard<std::mutex> guard(reg.mu);
-    reg.classes[info->id].acquisitions.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
-  t_held.push_back(HeldLock{info, mutex, MakeSite(loc)});
+  t_held.push_back(HeldLock{info, mutex, loc});
 }
 
 void OnRelease(const void* mutex) {
@@ -287,46 +119,6 @@ void OnCondVarWaitBegin(const void* mutex) { OnRelease(mutex); }
 void OnCondVarWaitEnd(const LockRankInfo* info, const void* mutex,
                       const std::source_location& loc) {
   OnAcquire(info, mutex, loc);
-}
-
-LockGraphSnapshot SnapshotLockGraph() {
-  Registry& reg = Reg();
-  LockGraphSnapshot snap;
-  snap.enabled = DeadlockDetectEnabled();
-  snap.violations = g_violations.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> guard(reg.mu);
-  snap.classes.reserve(reg.classes.size());
-  for (const LockClass& cls : reg.classes) {
-    snap.classes.push_back(LockClassSnapshot{
-        cls.info.name, cls.info.rank,
-        cls.acquisitions.load(std::memory_order_relaxed)});
-  }
-  std::sort(snap.classes.begin(), snap.classes.end(),
-            [](const LockClassSnapshot& a, const LockClassSnapshot& b) {
-              return a.rank != b.rank ? a.rank < b.rank : a.name < b.name;
-            });
-  snap.edges.reserve(reg.edges.size());
-  for (const auto& [key, edge] : reg.edges) {
-    snap.edges.push_back(LockEdgeSnapshot{
-        reg.classes[key.first].info.name, reg.classes[key.second].info.name,
-        edge.count, FormatSite(edge.from_site), FormatSite(edge.to_site)});
-  }
-  std::sort(snap.edges.begin(), snap.edges.end(),
-            [](const LockEdgeSnapshot& a, const LockEdgeSnapshot& b) {
-              return a.from != b.from ? a.from < b.from : a.to < b.to;
-            });
-  return snap;
-}
-
-void ResetLockGraphForTest() {
-  Registry& reg = Reg();
-  std::lock_guard<std::mutex> guard(reg.mu);
-  reg.edges.clear();
-  for (auto& out : reg.adj) out.clear();
-  for (LockClass& cls : reg.classes) {
-    cls.acquisitions.store(0, std::memory_order_relaxed);
-  }
-  g_violations.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace lsi::dbg

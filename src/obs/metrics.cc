@@ -129,23 +129,14 @@ void MirrorFaultMetrics() {
 }
 
 void MirrorLockMetrics() {
-  const dbg::LockGraphSnapshot graph = dbg::SnapshotLockGraph();
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetGauge("lsi.dbg.lock.enabled").Set(graph.enabled ? 1.0 : 0.0);
-  registry.GetGauge("lsi.dbg.lock.classes")
-      .Set(static_cast<double>(graph.classes.size()));
-  registry.GetGauge("lsi.dbg.lock.edges")
-      .Set(static_cast<double>(graph.edges.size()));
-  std::uint64_t acquisitions = 0;
-  for (const dbg::LockClassSnapshot& cls : graph.classes) {
-    acquisitions += cls.acquisitions;
-  }
+  registry.GetGauge("lsi.dbg.lock.enabled")
+      .Set(dbg::DeadlockDetectEnabled() ? 1.0 : 0.0);
   // Counters only increment; mirror by delta like the fault mirror.
-  Counter& acq = registry.GetCounter("lsi.dbg.lock.acquisitions");
-  if (acquisitions > acq.value()) acq.Increment(acquisitions - acq.value());
   Counter& violations = registry.GetCounter("lsi.dbg.lock.violations");
-  if (graph.violations > violations.value()) {
-    violations.Increment(graph.violations - violations.value());
+  const std::uint64_t total = dbg::ViolationCount();
+  if (total > violations.value()) {
+    violations.Increment(total - violations.value());
   }
 }
 

@@ -102,11 +102,11 @@ std::vector<double> DefaultLatencyBucketsMs();
 /// (common cannot link obs; the dependency runs the other way).
 void MirrorFaultMetrics();
 
-/// Mirrors the lock tracker's acquired-before graph summary into the
-/// global MetricsRegistry as `lsi.dbg.lock.*` (enabled flag, class /
-/// edge gauges, cumulative acquisition + violation counters). Same
-/// exporter-driven mirror pattern as MirrorFaultMetrics, for the same
-/// layering reason: dbg sits below obs and cannot push.
+/// Mirrors the lock tracker's state into the global MetricsRegistry as
+/// `lsi.dbg.lock.enabled` (gauge) and `lsi.dbg.lock.violations`
+/// (cumulative counter). Same exporter-driven mirror pattern as
+/// MirrorFaultMetrics, for the same layering reason: dbg sits below obs
+/// and cannot push.
 void MirrorLockMetrics();
 
 /// A point-in-time copy of every registered metric, sorted by name —

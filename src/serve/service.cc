@@ -542,15 +542,12 @@ HttpResponse LsiService::HandleStatusz() {
       "simd", JsonValue(std::string(
                   linalg::simd::PathName(linalg::simd::ActivePath()))));
   {
-    const dbg::LockGraphSnapshot graph = dbg::SnapshotLockGraph();
     JsonValue::Object dbg_block;
-    dbg_block.emplace_back("deadlock_detect", JsonValue(graph.enabled));
+    dbg_block.emplace_back("deadlock_detect",
+                           JsonValue(dbg::DeadlockDetectEnabled()));
     dbg_block.emplace_back(
-        "lock_classes", JsonValue(static_cast<double>(graph.classes.size())));
-    dbg_block.emplace_back(
-        "lock_edges", JsonValue(static_cast<double>(graph.edges.size())));
-    dbg_block.emplace_back(
-        "lock_violations", JsonValue(static_cast<double>(graph.violations)));
+        "lock_violations",
+        JsonValue(static_cast<double>(dbg::ViolationCount())));
     status.emplace_back("dbg", JsonValue(std::move(dbg_block)));
   }
   status.emplace_back("engine", JsonValue(std::move(engine)));

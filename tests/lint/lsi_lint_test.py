@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Self-test for tools/lsi_lint.py.
 
-Builds a throwaway repo tree of good/bad fixture snippets and asserts
-that every rule fires where it should, stays quiet where it should not,
-and that the allowlist both suppresses findings and reports stale
-entries. Runs under ctest as `lsi_lint_selftest`.
+Builds throwaway repo trees of good/bad fixture snippets and asserts
+that every rule — line and structural — fires where it should, stays
+quiet where it should not, that the allowlist both suppresses findings
+and reports stale entries, and that the real tree is clean. With no
+arguments every case runs; ctest runs it as two entries,
+`lsi_lint_selftest` (LintFixture RealTreeIsClean) and
+`lsi_structcheck_selftest` (StructureFixture).
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +20,17 @@ import unittest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 LINTER = os.path.join(REPO_ROOT, "tools", "lsi_lint.py")
+
+RANK_TABLE = (
+    "#ifndef LSI_COMMON_LOCK_RANKS_H_\n"
+    "#define LSI_COMMON_LOCK_RANKS_H_\n"
+    "#define LSI_LOCK_RANK(name, rank) nullptr\n"
+    "namespace lsi::lock_rank {\n"
+    "inline constexpr int kLiveWrite = 24;\n"
+    "inline constexpr int kObsMetrics = 70;\n"
+    "}  // namespace lsi::lock_rank\n"
+    "#endif  // LSI_COMMON_LOCK_RANKS_H_\n"
+)
 
 
 def run_lint(root, extra_args=()):
@@ -39,7 +54,9 @@ def header(relpath, body=""):
     return f"#ifndef {g}\n#define {g}\n{body}\n#endif  // {g}\n"
 
 
-class LintFixture(unittest.TestCase):
+class FixtureTree(unittest.TestCase):
+    """A throwaway repo tree per test; holds no test cases itself."""
+
     def setUp(self):
         self._tmp = tempfile.TemporaryDirectory()
         self.root = self._tmp.name
@@ -53,6 +70,11 @@ class LintFixture(unittest.TestCase):
 
     def rules_for(self, findings, relpath):
         return sorted(f["rule"] for f in findings if f["path"] == relpath)
+
+
+class LintFixture(FixtureTree):
+    """Line rules, fault points, routes, allowlist and CLI; runs under
+    ctest as `lsi_lint_selftest`."""
 
     def test_clean_tree_passes(self):
         self.write("src/core/good.h", header("src/core/good.h", "int F();"))
@@ -81,12 +103,12 @@ class LintFixture(unittest.TestCase):
 
     def test_no_raw_random_fires_outside_rng(self):
         self.write("src/core/bad.cc", "int F() { return rand(); }\n")
-        self.write("src/sample/bad2.cc", "std::random_device rd;\n")
+        self.write("src/model/bad2.cc", "std::random_device rd;\n")
         self.write("src/common/rng.cc", "std::random_device seed_source;\n")
         code, findings = run_lint(self.root)
         self.assertEqual(code, 1)
         self.assertEqual(self.rules_for(findings, "src/core/bad.cc"), ["no-raw-random"])
-        self.assertEqual(self.rules_for(findings, "src/sample/bad2.cc"), ["no-raw-random"])
+        self.assertEqual(self.rules_for(findings, "src/model/bad2.cc"), ["no-raw-random"])
         self.assertEqual(self.rules_for(findings, "src/common/rng.cc"), [])
 
     def test_no_raw_thread_fires_outside_par(self):
@@ -233,46 +255,6 @@ class LintFixture(unittest.TestCase):
             "src/core/ok.cc",
             "// e.g. LSI_FAULT_POINT(dynamic_name) would be rejected\n"
             'bool F() { return LSI_FAULT_POINT("core.one"); }\n',
-        )
-        code, findings = run_lint(self.root)
-        self.assertEqual(code, 0, findings)
-
-    def test_lock_rank_required_on_mutex_declarations(self):
-        self.write(
-            "src/core/bad.h",
-            header(
-                "src/core/bad.h",
-                "class C {\n  mutable Mutex mutex_;\n};",
-            ),
-        )
-        self.write(
-            "src/core/ok.h",
-            header(
-                "src/core/ok.h",
-                "class C {\n"
-                "  mutable Mutex mutex_{\n"
-                '      LSI_LOCK_RANK("core.c", lock_rank::kCoreC)};\n'
-                "};",
-            ),
-        )
-        code, findings = run_lint(self.root)
-        self.assertEqual(code, 1)
-        self.assertEqual(self.rules_for(findings, "src/core/bad.h"), ["lock-rank"])
-        self.assertIn("LSI_LOCK_RANK", findings[0]["message"])
-        self.assertEqual(self.rules_for(findings, "src/core/ok.h"), [])
-
-    def test_lock_rank_ignores_references_locks_and_comments(self):
-        self.write(
-            "src/core/ok.cc",
-            "void F(Mutex& mu) {\n"
-            "  MutexLock lock(mu);\n"
-            "}\n"
-            "// a bare `Mutex m_;` in a comment is not a declaration\n",
-        )
-        # The wrapper header itself declares no rankable instances.
-        self.write(
-            "src/common/mutex.h",
-            header("src/common/mutex.h", "class Mutex { std::mutex mu_; };"),
         )
         code, findings = run_lint(self.root)
         self.assertEqual(code, 0, findings)
@@ -426,10 +408,288 @@ class LintFixture(unittest.TestCase):
         self.assertEqual(finding["line"], 1)
 
 
+class StructureFixture(FixtureTree):
+    """Structural rules (layering, mutex-rank, mutex-guard, rank-table,
+    compile-coverage); runs under ctest as `lsi_structcheck_selftest`."""
+
+    def compile_commands(self, *sources):
+        """Writes a compile_commands.json listing `sources`; returns its path."""
+        path = os.path.join(self.root, "compile_commands.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(
+                [
+                    {"directory": self.root, "file": src, "command": f"c++ -c {src}"}
+                    for src in sources
+                ],
+                fh,
+            )
+        return path
+
+    def test_clean_tree_with_ranked_mutex_passes(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/live/engine.h",
+            header(
+                "src/live/engine.h",
+                '#include "common/lock_ranks.h"\n'
+                '#include "common/mutex.h"\n'
+                "class Engine {\n"
+                "  Mutex write_mutex_{\n"
+                '      LSI_LOCK_RANK("live.engine.write", '
+                "lock_rank::kLiveWrite)};\n"
+                "  int pending_ LSI_GUARDED_BY(write_mutex_) = 0;\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 0, findings)
+        self.assertEqual(findings, [])
+
+    def test_layering_violation_reported_with_allowed_list(self):
+        # common is the second-lowest layer: including serve from it
+        # inverts the DAG.
+        self.write("src/common/bad.cc", '#include "serve/server.h"\n')
+        # live -> core is a legal downward edge.
+        self.write("src/live/ok.cc", '#include "core/engine.h"\n')
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/common/bad.cc"), ["layering"])
+        self.assertEqual(self.rules_for(findings, "src/live/ok.cc"), [])
+        (f,) = [f for f in findings if f["path"] == "src/common/bad.cc"]
+        self.assertIn('"common" may not depend on "serve"', f["message"])
+
+    def test_unknown_subsystem_is_a_layering_finding(self):
+        self.write("src/newsub/thing.cc", "int F() { return 1; }\n")
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/newsub/thing.cc"), ["layering"])
+        self.assertIn("ALLOWED_DEPS", findings[0]["message"])
+
+    def test_same_subsystem_and_unknown_includes_are_fine(self):
+        self.write(
+            "src/core/engine.cc",
+            '#include "core/index.h"\n#include <vector>\n'
+            '#include "gtest/gtest.h"\n',
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 0, findings)
+
+    def test_unranked_mutex_member_reported(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/obs/registry.h",
+            header(
+                "src/obs/registry.h",
+                "class Registry {\n"
+                "  mutable Mutex mutex_;\n"
+                "  int value_ LSI_GUARDED_BY(mutex_) = 0;\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/obs/registry.h"), ["mutex-rank"])
+        self.assertEqual(findings[0]["line"], 4)
+        self.assertIn("LSI_LOCK_RANK", findings[0]["message"])
+
+    def test_mutex_without_guarded_by_user_reported(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/obs/registry.h",
+            header(
+                "src/obs/registry.h",
+                "class Registry {\n"
+                "  mutable Mutex mutex_{\n"
+                '      LSI_LOCK_RANK("obs.metrics", lock_rank::kObsMetrics)};\n'
+                "  int value_ = 0;  // oops: unannotated\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/obs/registry.h"), ["mutex-guard"])
+
+    def test_mutex_references_locks_comments_and_wrapper_header_do_not_match(self):
+        # The wrapper header itself declares no rankable instances.
+        self.write(
+            "src/common/mutex.h",
+            header("src/common/mutex.h", "class Mutex { std::mutex mu_; };"),
+        )
+        self.write(
+            "src/core/user.cc",
+            "void F(Mutex& mu) { MutexLock lock(mu); }\n"
+            "// a bare `Mutex m_;` in a comment is not a declaration\n",
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 0, findings)
+
+    def test_numeric_literal_rank_reported(self):
+        # A hard-coded rank in src/ bypasses the table — exactly how an
+        # inconsistent AB/BA pair would slip in.
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/live/bad.h",
+            header(
+                "src/live/bad.h",
+                "class Bad {\n"
+                '  Mutex a_{LSI_LOCK_RANK("live.bad.a", 10)};\n'
+                "  int x_ LSI_GUARDED_BY(a_) = 0;\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/live/bad.h"), ["rank-table"])
+
+    def test_unknown_rank_constant_reported(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/live/bad.h",
+            header(
+                "src/live/bad.h",
+                "class Bad {\n"
+                '  Mutex a_{LSI_LOCK_RANK("live.bad.a", lock_rank::kNope)};\n'
+                "  int x_ LSI_GUARDED_BY(a_) = 0;\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/live/bad.h"), ["rank-table"])
+        self.assertIn("kNope", findings[0]["message"])
+
+    def test_rank_constants_sharing_a_value_reported(self):
+        # Two lock classes of one rank have no order between them, which
+        # the strict runtime rule turns into a violation whichever way
+        # they nest; the table must keep every rank distinct.
+        self.write(
+            "src/common/lock_ranks.h",
+            RANK_TABLE.replace(
+                "inline constexpr int kObsMetrics = 70;\n",
+                "inline constexpr int kObsMetrics = 70;\n"
+                "inline constexpr int kLiveShadow = 24;\n",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        (f,) = findings
+        self.assertEqual(f["rule"], "rank-table")
+        self.assertEqual(f["path"], "src/common/lock_ranks.h")
+        self.assertEqual(f["line"], 7)
+        self.assertIn("kLiveShadow", f["message"])
+        self.assertIn("kLiveWrite", f["message"])
+
+    def test_duplicate_rank_names_reported_on_full_runs_only(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        body = (
+            "class C {\n"
+            '  Mutex m_{LSI_LOCK_RANK("live.dup", lock_rank::kLiveWrite)};\n'
+            "  int x_ LSI_GUARDED_BY(m_) = 0;\n"
+            "};"
+        )
+        self.write("src/live/a.h", header("src/live/a.h", body))
+        self.write("src/live/b.h", header("src/live/b.h", body))
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["rank-unique"])
+        self.assertIn("live.dup", findings[0]["message"])
+        # Single-file runs cannot see the other site.
+        code, findings = run_lint(self.root, ("src/live/a.h",))
+        self.assertEqual(code, 0, findings)
+
+    def test_rank_macro_in_comments_is_ignored(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/core/doc.h",
+            header(
+                "src/core/doc.h",
+                '// e.g. Mutex m_{LSI_LOCK_RANK("x", 3)}; would be rejected\n'
+                "int F();",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 0, findings)
+
+    def test_compile_coverage_reports_unbuilt_sources(self):
+        self.write("src/core/built.cc", "int F() { return 1; }\n")
+        self.write("src/core/orphan.cc", "int G() { return 2; }\n")
+        cc_path = self.compile_commands("src/core/built.cc")
+        code, findings = run_lint(self.root, ("--compile-commands", cc_path))
+        self.assertEqual(code, 1)
+        self.assertEqual(
+            self.rules_for(findings, "src/core/orphan.cc"), ["compile-coverage"]
+        )
+        self.assertEqual(self.rules_for(findings, "src/core/built.cc"), [])
+
+    def test_allowlist_covers_structural_rules(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/obs/lonely.h",
+            header(
+                "src/obs/lonely.h",
+                "class L {\n"
+                "  Mutex m_{\n"
+                '      LSI_LOCK_RANK("obs.metrics", lock_rank::kObsMetrics)};\n'
+                "};",
+            ),
+        )
+        allow = os.path.join(self.root, "allow.txt")
+        with open(allow, "w", encoding="utf-8") as fh:
+            fh.write("mutex-guard src/obs/lonely.h\n")
+        code, findings = run_lint(self.root, ("--allowlist", allow))
+        self.assertEqual(code, 0, findings)
+
+        with open(allow, "a", encoding="utf-8") as fh:
+            fh.write("layering src/gone/nothing.cc\n")
+        code, findings = run_lint(self.root, ("--allowlist", allow))
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["stale-allowlist"])
+
+    def test_compile_coverage_allowlist_entries_are_never_stale(self):
+        self.write("src/core/built.cc", "int F() { return 1; }\n")
+        cc_path = self.compile_commands("src/core/built.cc")
+        allow = os.path.join(self.root, "allow.txt")
+        with open(allow, "w", encoding="utf-8") as fh:
+            fh.write("compile-coverage src/linalg/simd/simd_neon.cc\n")
+        code, findings = run_lint(
+            self.root, ("--allowlist", allow, "--compile-commands", cc_path)
+        )
+        self.assertEqual(code, 0, findings)
+
+    def test_structural_findings_are_machine_readable(self):
+        self.write("src/common/bad.cc", '#include "serve/server.h"\n')
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        (finding,) = findings
+        self.assertEqual(
+            sorted(finding), ["line", "message", "path", "rule", "snippet"]
+        )
+        self.assertEqual(finding["rule"], "layering")
+        self.assertEqual(finding["line"], 1)
+
+
 class RealTreeIsClean(unittest.TestCase):
     def test_repo_passes_its_own_lint(self):
         code, findings = run_lint(REPO_ROOT)
         self.assertEqual(code, 0, findings)
+
+    def test_repo_rank_constants_match_macro_sites(self):
+        # Every rank constant in the table is referenced by at least one
+        # LSI_LOCK_RANK site — the table cannot grow dead rows silently.
+        table_path = os.path.join(REPO_ROOT, "src", "common", "lock_ranks.h")
+        with open(table_path, encoding="utf-8") as fh:
+            constants = set(re.findall(r"inline constexpr int (k\w+)", fh.read()))
+        self.assertTrue(constants)
+        used = set()
+        for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, "src")):
+            for name in filenames:
+                if not name.endswith((".h", ".cc")):
+                    continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                    used.update(re.findall(r"lock_rank::(k\w+)", fh.read()))
+        self.assertEqual(
+            constants - used, set(), "unused rank constants in lock_ranks.h"
+        )
 
 
 if __name__ == "__main__":

@@ -1,5 +1,12 @@
 #!/usr/bin/env python3
-"""lsi_lint: repo-specific static checks clang-tidy cannot express.
+"""lsi_lint: the repo's one static checker.
+
+It holds the single-line rules clang-tidy cannot express and the
+structural rules that relate files to each other: the subsystem
+layering DAG, each mutex and its rank declaration, and the rank macros
+scattered through the tree against the one table that defines them.
+It is the static half of the lock-order gate; src/dbg/lock_tracker.h
+(LSI_DEADLOCK_DETECT=1) is the runtime half.
 
 Rules (scoped to library code under src/ unless noted):
 
@@ -42,15 +49,6 @@ Rules (scoped to library code under src/ unless noted):
                     programming error in the registry). src/common/fault.h
                     defines the macro and is exempt; tests may reuse names
                     deliberately and are not scanned.
-  lock-rank         Every `Mutex foo_;` declaration must construct with
-                    LSI_LOCK_RANK("name", lock_rank::k...) on the same
-                    or next line — unranked mutexes are invisible to the
-                    runtime deadlock detector (LSI_DEADLOCK_DETECT=1;
-                    see src/common/lock_ranks.h). The deeper structural
-                    checks (rank uniqueness, table consistency, guarded
-                    users) live in tools/lsi_structcheck.py; this rule
-                    is the fast per-line guard that keeps new mutexes
-                    from landing unranked.
   route-fault-point Every HTTP route dispatched in src/serve or
                     src/shard (a literal `path == "/x"` comparison) must
                     declare a fault point named `serve.<x>.*` /
@@ -60,13 +58,48 @@ Rules (scoped to library code under src/ unless noted):
                     query, related) are grandfathered; every route added
                     since — and every shard router route, with no
                     grandfathering — ships with its kill switch.
+  layering          The subsystem dependency DAG. Each src/<sub>/ may
+                    include headers only from the subsystems listed in
+                    ALLOWED_DEPS (dbg is the bottom layer, shard the
+                    top). A file in a subsystem missing from the table
+                    is itself a finding, so the DAG cannot silently
+                    grow untracked nodes.
+  mutex-rank        Every `Mutex foo_...;` declaration (one line or
+                    several) must construct with LSI_LOCK_RANK(...) so
+                    the runtime detector knows its class. Unranked
+                    mutexes are invisible to deadlock detection.
+  mutex-guard       Every declared Mutex must have at least one
+                    LSI_GUARDED_BY(<name>) / LSI_PT_GUARDED_BY(<name>)
+                    user in the same file — a mutex guarding nothing
+                    the annotations can see is either dead or hiding
+                    unannotated state from clang -Wthread-safety.
+  rank-table        LSI_LOCK_RANK takes a string literal name matching
+                    [a-z0-9_.]+ and a lock_rank::k* constant defined in
+                    src/common/lock_ranks.h — numeric-literal ranks
+                    would bypass the one table the runtime detector's
+                    reports point people at. No two constants in that
+                    table may share a value: the runtime rule is strict
+                    (ranks must strictly increase), and distinct ranks
+                    are what let it catch every lock-order cycle.
+  rank-unique       Each lock-class name is declared at exactly one
+                    site, so a name in a violation report points at one
+                    mutex.
+  compile-coverage  With --compile-commands: every src/**.cc must
+                    appear as a translation unit in the exported
+                    compile_commands.json. A source file CMake does not
+                    compile is invisible to clang -Wthread-safety,
+                    clang-tidy, and the thread-safety CI gate.
+                    Platform-conditional TUs (the SIMD backends) are
+                    allowlisted.
 
 Findings print one per line as `path:line: rule: message`, or as a JSON
 array with --json. Exit status: 0 clean, 1 findings, 2 usage error.
 
 Suppressions: an allowlist file (default tools/lint_allowlist.txt) with
-`rule path` lines; `#` starts a comment. Every entry must match at least
-one file, so stale entries fail the run instead of rotting.
+`rule path-prefix` lines; `#` starts a comment. On a full-tree run every
+entry must match at least one finding, so stale entries fail the run
+instead of rotting. compile-coverage entries are exempt: which SIMD
+backend compiles depends on the build host's architecture.
 """
 
 from __future__ import annotations
@@ -127,8 +160,8 @@ LINE_RULES = [
     ),
 ]
 
-# Rule -> predicate(relative posix path) deciding whether a file is in
-# scope at all (before allowlist suppression).
+# Rule -> predicate(relative posix path) deciding whether a line rule
+# applies to a file at all (before allowlist suppression).
 def _in_src(path: str) -> bool:
     return path.startswith("src/")
 
@@ -142,19 +175,34 @@ RULE_SCOPE = {
     and p not in ("src/common/logging.cc", "src/common/check.h"),
     "no-raw-intrinsics": lambda p: (p.startswith("src/") or p.startswith("tools/"))
     and not p.startswith("src/linalg/simd/"),
-    "include-guard": lambda p: _in_src(p) and p.endswith(".h"),
-    "fault-point": lambda p: (p.startswith("src/") or p.startswith("tools/"))
-    and p != "src/common/fault.h",
-    "lock-rank": lambda p: _in_src(p)
-    and p not in ("src/common/mutex.h", "src/common/lock_ranks.h"),
 }
 
-# A Mutex instance declaration: `Mutex name;` / `Mutex name{...`.
-# References (`Mutex&`) and MutexLock never match.
-MUTEX_DECL_RE = re.compile(r"\bMutex\s+\w+\s*[;{=]")
+# The subsystem layering DAG: subsystem -> subsystems it may include.
+# Kept in dependency order, bottom first. This is the *actual* DAG —
+# linalg sits above par/obs because the SVD kernels run on the thread
+# pool and publish solver telemetry — not an aspirational one; changing
+# it is an architectural decision that belongs in this diff-reviewed
+# table, mirrored in DESIGN.md ("Static analysis").
+ALLOWED_DEPS = {
+    "dbg": set(),
+    "common": {"dbg"},
+    "obs": {"dbg", "common"},
+    "par": {"dbg", "common", "obs"},
+    "linalg": {"dbg", "common", "obs", "par"},
+    "text": {"dbg", "common", "linalg"},
+    "model": {"dbg", "common", "linalg", "text"},
+    "core": {"dbg", "common", "linalg", "obs", "par", "text"},
+    "live": {"dbg", "common", "core", "linalg", "obs", "par", "text"},
+    "serve": {"dbg", "common", "core", "linalg", "live", "obs", "par",
+              "text"},
+    "shard": {"dbg", "common", "core", "linalg", "live", "obs", "par",
+              "serve", "text"},
+}
 
-COMMENT_RE = re.compile(r"//.*$")
+RANK_TABLE_PATH = "src/common/lock_ranks.h"
+
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+COMMENT_RE = re.compile(r"/\*.*?\*/|//.*$")
 
 # A complete call and the literal-only argument shape it must have.
 FAULT_CALL_RE = re.compile(r"\bLSI_FAULT_POINT\s*\(([^)]*)\)")
@@ -175,30 +223,48 @@ GRANDFATHERED_ROUTES = frozenset(
 # Maps a source path to the fault-point namespace its routes must use.
 ROUTE_NAMESPACES = (("src/serve/", "serve"), ("src/shard/", "shard"))
 
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+# A Mutex member/variable declaration: `Mutex name;`, `Mutex name{...};`.
+# References (`Mutex&`) and the wrapped `std::mutex` never match. The
+# brace initialiser holds no nested braces (it is one macro call), so a
+# non-greedy [^}]* spans multi-line declarations safely.
+MUTEX_DECL_RE = re.compile(r"\bMutex\s+(\w+)\s*(;|\{[^}]*\}\s*;)", re.DOTALL)
+GUARDED_BY_RE = re.compile(r"\bLSI_(?:PT_)?GUARDED_BY\s*\(\s*([\w]+)\s*\)")
+LOCK_RANK_CALL_RE = re.compile(r"\bLSI_LOCK_RANK\s*\(([^)]*)\)", re.DOTALL)
+LOCK_RANK_ARGS_RE = re.compile(
+    r'^\s*"([a-z0-9_.]+)"\s*,\s*(?:::)?(?:lsi::)?lock_rank::(k\w+)\s*$',
+    re.DOTALL,
+)
+RANK_CONST_RE = re.compile(r"\binline\s+constexpr\s+int\s+(k\w+)\s*=\s*(\d+)")
 
-def strip_noncode(line: str) -> str:
-    """Blanks string literals and line comments so patterns only see code.
 
-    Block comments are handled crudely (single-line only); the codebase
-    uses line comments throughout, and a false positive is a visible,
-    fixable report rather than a silent miss.
+def strip_comments(line: str) -> str:
+    """Drops // and /* */ comments, keeping string literals (the
+    fault-point and rank rules inspect the literal itself).
+
+    Comment markers are located in a copy with every literal blanked, so
+    a `//` inside a string cannot masquerade as a comment start. Block
+    comments are handled on one line only; the codebase uses line
+    comments throughout, and a false positive is a visible, fixable
+    report rather than a silent miss.
     """
-    line = STRING_RE.sub('""', line)
-    line = COMMENT_RE.sub("", line)
-    line = re.sub(r"/\*.*?\*/", "", line)
-    return line
-
-
-def strip_comments_keep_strings(line: str) -> str:
-    """Drops comments but keeps string literals (the fault-point rule
-    inspects the literal itself, which strip_noncode blanks away)."""
-    # Blank strings in a same-length copy so a `//` inside a literal
-    # cannot masquerade as a comment start, then cut the original.
     blanked = STRING_RE.sub(lambda m: '"' + "x" * (len(m.group(0)) - 2) + '"', line)
-    cut = blanked.find("//")
-    if cut >= 0:
-        line = line[:cut]
-    return re.sub(r"/\*.*?\*/", "", line)
+    kept, pos = [], 0
+    for m in COMMENT_RE.finditer(blanked):
+        kept.append(line[pos : m.start()])
+        pos = m.end()
+    kept.append(line[pos:])
+    return "".join(kept)
+
+
+def finding(rule, path, line, message, snippet=""):
+    return {
+        "rule": rule,
+        "path": path,
+        "line": line,
+        "message": message,
+        "snippet": snippet.strip()[:120],
+    }
 
 
 def expected_guard(relpath: str) -> str:
@@ -208,112 +274,227 @@ def expected_guard(relpath: str) -> str:
     return "LSI_" + token.upper() + "_"
 
 
-def check_file(relpath: str, text: str, fault_points=None, routes=None):
-    """Lints one file. `fault_points`, when given, is a dict the caller
-    owns mapping fault-point name -> [(path, line)] call sites, filled
-    in here so main() can police cross-file uniqueness. `routes` is the
-    same for dispatched HTTP routes: (namespace, name) -> [(path, line)],
-    collected from src/serve and src/shard so main() can require a
-    fault point per route."""
+def subsystem_of(relpath: str):
+    parts = relpath.split("/")
+    return parts[1] if relpath.startswith("src/") and len(parts) >= 3 else None
+
+
+def load_rank_table(root: str):
+    """Parses lock_rank::k* constants out of src/common/lock_ranks.h.
+    Returns {constant: value} or None when the table file is absent
+    (fixture trees without one skip the existence check)."""
+    path = os.path.join(root, RANK_TABLE_PATH)
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        code = "\n".join(strip_comments(l) for l in fh.read().splitlines())
+    return {name: int(value) for name, value in RANK_CONST_RE.findall(code)}
+
+
+class Sites:
+    """Call sites collected across files for the cross-file checks:
+    key -> [(path, line)] for fault-point names, routes (keyed by
+    (namespace, route)) and LSI_LOCK_RANK names."""
+
+    def __init__(self):
+        self.fault_points = {}
+        self.routes = {}
+        self.rank_names = {}
+
+
+def check_line_rules(relpath, lines):
     findings = []
-    lines = text.splitlines()
-    if routes is not None:
-        for prefix, namespace in ROUTE_NAMESPACES:
-            if not relpath.startswith(prefix):
-                continue
-            for lineno, raw in enumerate(lines, start=1):
-                for m in ROUTE_RE.finditer(strip_comments_keep_strings(raw)):
-                    routes.setdefault((namespace, m.group(1)), []).append(
-                        (relpath, lineno)
-                    )
-    if RULE_SCOPE["fault-point"](relpath):
-        for lineno, raw in enumerate(lines, start=1):
-            code = strip_comments_keep_strings(raw)
-            matched_spans = []
-            for m in FAULT_CALL_RE.finditer(code):
-                matched_spans.append(m.span())
-                name = FAULT_NAME_RE.match(m.group(1))
-                if name is None:
-                    findings.append(
-                        {
-                            "rule": "fault-point",
-                            "path": relpath,
-                            "line": lineno,
-                            "message": "LSI_FAULT_POINT takes a single "
-                            'string literal matching "[a-z0-9_.]+"',
-                            "snippet": raw.strip()[:120],
-                        }
-                    )
-                elif fault_points is not None:
-                    fault_points.setdefault(name.group(1), []).append(
-                        (relpath, lineno)
-                    )
-            open_call = FAULT_OPEN_RE.search(code)
-            if open_call and not any(
-                s <= open_call.start() < e for s, e in matched_spans
-            ):
-                findings.append(
-                    {
-                        "rule": "fault-point",
-                        "path": relpath,
-                        "line": lineno,
-                        "message": "keep the LSI_FAULT_POINT call on one "
-                        "line so its name stays lintable",
-                        "snippet": raw.strip()[:120],
-                    }
-                )
-    if RULE_SCOPE["lock-rank"](relpath):
-        for lineno, raw in enumerate(lines, start=1):
-            if not MUTEX_DECL_RE.search(strip_noncode(raw)):
-                continue
-            # "Adjacent": the rank macro sits on the declaration line or
-            # the continuation line right under it.
-            window = "\n".join(lines[lineno - 1 : lineno + 1])
-            if "LSI_LOCK_RANK" not in window:
-                findings.append(
-                    {
-                        "rule": "lock-rank",
-                        "path": relpath,
-                        "line": lineno,
-                        "message": "declare this Mutex's lock class with "
-                        'LSI_LOCK_RANK("<subsystem>.<name>", '
-                        "lock_rank::k...) so LSI_DEADLOCK_DETECT can "
-                        "order it (see src/common/lock_ranks.h)",
-                        "snippet": raw.strip()[:120],
-                    }
-                )
     for lineno, raw in enumerate(lines, start=1):
-        code = strip_noncode(raw)
+        code = STRING_RE.sub('""', strip_comments(raw))
         for rule, pattern, message in LINE_RULES:
-            if not RULE_SCOPE[rule](relpath):
-                continue
-            if pattern.search(code):
-                findings.append(
-                    {
-                        "rule": rule,
-                        "path": relpath,
-                        "line": lineno,
-                        "message": message,
-                        "snippet": raw.strip()[:120],
-                    }
-                )
-    if RULE_SCOPE["include-guard"](relpath):
+            if RULE_SCOPE[rule](relpath) and pattern.search(code):
+                findings.append(finding(rule, relpath, lineno, message, raw))
+    if _in_src(relpath) and relpath.endswith(".h"):
         guard = expected_guard(relpath)
         ifndef = f"#ifndef {guard}"
         define = f"#define {guard}"
-        head = lines[:40]
-        if ifndef not in (l.strip() for l in head) or define not in (
-            l.strip() for l in head
+        head = [l.strip() for l in lines[:40]]
+        if ifndef not in head or define not in head:
+            findings.append(finding(
+                "include-guard", relpath, 1,
+                f"header must open with {ifndef} / {define}",
+                lines[0] if lines else ""))
+    return findings
+
+
+def check_fault_points(relpath, lines, sites):
+    findings = []
+    for prefix, namespace in ROUTE_NAMESPACES:
+        if relpath.startswith(prefix):
+            for lineno, raw in enumerate(lines, start=1):
+                for m in ROUTE_RE.finditer(strip_comments(raw)):
+                    sites.routes.setdefault((namespace, m.group(1)), []).append(
+                        (relpath, lineno))
+    if not relpath.startswith(("src/", "tools/")) or relpath == "src/common/fault.h":
+        return findings
+    for lineno, raw in enumerate(lines, start=1):
+        code = strip_comments(raw)
+        matched_spans = []
+        for m in FAULT_CALL_RE.finditer(code):
+            matched_spans.append(m.span())
+            name = FAULT_NAME_RE.match(m.group(1))
+            if name is None:
+                findings.append(finding(
+                    "fault-point", relpath, lineno,
+                    'LSI_FAULT_POINT takes a single string literal matching '
+                    '"[a-z0-9_.]+"', raw))
+            else:
+                sites.fault_points.setdefault(name.group(1), []).append(
+                    (relpath, lineno))
+        open_call = FAULT_OPEN_RE.search(code)
+        if open_call and not any(
+            s <= open_call.start() < e for s, e in matched_spans
         ):
-            findings.append(
-                {
-                    "rule": "include-guard",
-                    "path": relpath,
-                    "line": 1,
-                    "message": f"header must open with {ifndef} / {define}",
-                    "snippet": lines[0].strip()[:120] if lines else "",
-                }
-            )
+            findings.append(finding(
+                "fault-point", relpath, lineno,
+                "keep the LSI_FAULT_POINT call on one line so its name "
+                "stays lintable", raw))
+    return findings
+
+
+def check_structure(relpath, lines, rank_table, sites):
+    """The multi-line src/ rules: layering, mutex-rank, mutex-guard,
+    rank-table; records LSI_LOCK_RANK names for rank-unique."""
+    findings = []
+    if not _in_src(relpath):
+        return findings
+    code = "\n".join(strip_comments(l) for l in lines)
+
+    def line_of(offset):
+        return code.count("\n", 0, offset) + 1
+
+    def snippet_at(lineno):
+        return lines[lineno - 1] if lineno <= len(lines) else ""
+
+    # -- layering ---------------------------------------------------
+    sub = subsystem_of(relpath)
+    if sub is not None and sub not in ALLOWED_DEPS:
+        findings.append(finding(
+            "layering", relpath, 1,
+            f'subsystem "src/{sub}/" is not in the layering DAG; add '
+            "it to ALLOWED_DEPS in tools/lsi_lint.py (and to DESIGN.md "
+            '"Static analysis") before building on it'))
+    elif sub is not None:
+        for lineno, raw in enumerate(lines, start=1):
+            m = INCLUDE_RE.match(strip_comments(raw))
+            if m is None:
+                continue
+            dep = m.group(1).split("/")[0]
+            if dep == sub or dep not in ALLOWED_DEPS:
+                continue
+            if dep not in ALLOWED_DEPS[sub]:
+                findings.append(finding(
+                    "layering", relpath, lineno,
+                    f'"{sub}" may not depend on "{dep}" (allowed: '
+                    f"{', '.join(sorted(ALLOWED_DEPS[sub])) or 'none'}); "
+                    "the layering DAG lives in tools/lsi_lint.py", raw))
+
+    # -- mutex-rank / mutex-guard -----------------------------------
+    # The wrapper's own header declares the type, not instances.
+    if relpath != "src/common/mutex.h":
+        guard_users = set(GUARDED_BY_RE.findall(code))
+        for m in MUTEX_DECL_RE.finditer(code):
+            name, init = m.group(1), m.group(2)
+            lineno = line_of(m.start())
+            if "LSI_LOCK_RANK" not in init:
+                findings.append(finding(
+                    "mutex-rank", relpath, lineno,
+                    f'Mutex "{name}" has no rank: construct it with '
+                    'LSI_LOCK_RANK("<subsystem>.<name>", lock_rank::k...) '
+                    "so LSI_DEADLOCK_DETECT can order it "
+                    "(src/common/lock_ranks.h)", snippet_at(lineno)))
+            if name not in guard_users:
+                findings.append(finding(
+                    "mutex-guard", relpath, lineno,
+                    f'Mutex "{name}" has no LSI_GUARDED_BY({name}) user in '
+                    "this file; annotate the state it protects or delete "
+                    "the lock", snippet_at(lineno)))
+
+    # -- rank-table -------------------------------------------------
+    # The table header defines the macro and the constants: check that
+    # the constants are distinct. Everywhere else, check the call sites.
+    if relpath == RANK_TABLE_PATH:
+        first_of = {}
+        for m in RANK_CONST_RE.finditer(code):
+            constant, value = m.group(1), int(m.group(2))
+            if value in first_of:
+                lineno = line_of(m.start())
+                findings.append(finding(
+                    "rank-table", relpath, lineno,
+                    f"lock_rank::{constant} repeats the value {value} of "
+                    f"lock_rank::{first_of[value]}; ranks must be distinct "
+                    "so the strict rank rule orders every pair of lock "
+                    "classes", snippet_at(lineno)))
+            else:
+                first_of[value] = constant
+        return findings
+    for m in LOCK_RANK_CALL_RE.finditer(code):
+        lineno = line_of(m.start())
+        args = LOCK_RANK_ARGS_RE.match(m.group(1))
+        if args is None:
+            findings.append(finding(
+                "rank-table", relpath, lineno,
+                'LSI_LOCK_RANK takes ("[a-z0-9_.]+", lock_rank::k...) '
+                "— a literal name and a constant from "
+                "src/common/lock_ranks.h, nothing else", snippet_at(lineno)))
+            continue
+        name, constant = args.group(1), args.group(2)
+        if rank_table is not None and constant not in rank_table:
+            findings.append(finding(
+                "rank-table", relpath, lineno,
+                f"lock_rank::{constant} is not defined in "
+                f"{RANK_TABLE_PATH}; add it to the right band there first",
+                snippet_at(lineno)))
+        sites.rank_names.setdefault(name, []).append((relpath, lineno))
+    return findings
+
+
+def check_file(relpath, text, rank_table, sites):
+    """Checks one file; records cross-file call sites into `sites`."""
+    lines = text.splitlines()
+    return (
+        check_line_rules(relpath, lines)
+        + check_fault_points(relpath, lines, sites)
+        + check_structure(relpath, lines, rank_table, sites)
+    )
+
+
+def check_cross_file(sites):
+    """Uniqueness and route checks that need the whole tree in view."""
+    findings = []
+    for name, where_list in sorted(sites.fault_points.items()):
+        where = ", ".join(f"{p}:{l}" for p, l in where_list)
+        for path, line in where_list[1:]:
+            findings.append(finding(
+                "fault-point", path, line,
+                f'fault point "{name}" is registered at more than one call '
+                f"site ({where}); names must be unique so LSI_FAULT specs "
+                "are unambiguous"))
+    for (namespace, route), where_list in sorted(sites.routes.items()):
+        if namespace == "serve" and route in GRANDFATHERED_ROUTES:
+            continue
+        prefix = f"{namespace}.{route}."
+        if any(name.startswith(prefix) for name in sites.fault_points):
+            continue
+        path, line = where_list[0]
+        findings.append(finding(
+            "route-fault-point", path, line,
+            f'route "/{route}" declares no fault point named "{prefix}*"; '
+            f"every new {namespace} route ships with a kill switch the "
+            "fault-torture job can arm"))
+    for name, where_list in sorted(sites.rank_names.items()):
+        where = ", ".join(f"{p}:{l}" for p, l in where_list)
+        for path, line in where_list[1:]:
+            findings.append(finding(
+                "rank-unique", path, line,
+                f'lock class "{name}" is declared at more than one site '
+                f"({where}); one LSI_LOCK_RANK site per name — reuse the "
+                "Mutex or pick a new name + rank"))
     return findings
 
 
@@ -338,7 +519,7 @@ def load_allowlist(path: str):
 
 
 def collect_files(root: str, paths):
-    """Yields repo-relative posix paths of C++ files to lint."""
+    """Yields repo-relative posix paths of C++ files to check."""
     exts = (".h", ".cc", ".cpp")
     if not paths:
         paths = ["src", "tools"]
@@ -356,9 +537,24 @@ def collect_files(root: str, paths):
                     yield os.path.relpath(full, root).replace(os.sep, "/")
 
 
+def compiled_sources(root, compile_commands_path):
+    """Repo-relative paths of every TU in compile_commands.json."""
+    with open(compile_commands_path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    out = set()
+    for entry in entries:
+        file_path = entry.get("file", "")
+        if not os.path.isabs(file_path):
+            file_path = os.path.join(entry.get("directory", ""), file_path)
+        rel = os.path.relpath(os.path.realpath(file_path),
+                              os.path.realpath(root))
+        out.add(rel.replace(os.sep, "/"))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Repo-specific lint for the lsi codebase."
+        description="Static checks for the lsi codebase."
     )
     parser.add_argument(
         "--root",
@@ -370,11 +566,18 @@ def main(argv=None) -> int:
         default=None,
         help="suppression file (default: <root>/tools/lint_allowlist.txt)",
     )
+    parser.add_argument(
+        "--compile-commands",
+        default=None,
+        help="compile_commands.json from CMAKE_EXPORT_COMPILE_COMMANDS; "
+        "enables the compile-coverage rule",
+    )
     parser.add_argument("--json", action="store_true", help="emit JSON findings")
     parser.add_argument(
         "paths", nargs="*", help="files or directories relative to root"
     )
     args = parser.parse_args(argv)
+    full_tree = not args.paths
 
     allowlist_path = args.allowlist or os.path.join(
         args.root, "tools", "lint_allowlist.txt"
@@ -382,80 +585,63 @@ def main(argv=None) -> int:
     allowlist = load_allowlist(allowlist_path)
     used = [False] * len(allowlist)
 
-    def suppressed(finding):
+    def suppressed(f):
         for i, (rule, prefix) in enumerate(allowlist):
-            if finding["rule"] == rule and finding["path"].startswith(prefix):
+            if f["rule"] == rule and f["path"].startswith(prefix):
                 used[i] = True
                 return True
         return False
 
-    findings = []
-    fault_points = {}
-    routes = {}
+    rank_table = load_rank_table(args.root)
+    sites = Sites()
+    raw_findings = []
+    seen_files = []
     for relpath in collect_files(args.root, args.paths):
+        seen_files.append(relpath)
         try:
             with open(os.path.join(args.root, relpath), encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as err:
             print(f"lsi_lint: cannot read {relpath}: {err}", file=sys.stderr)
             return 2
-        for finding in check_file(relpath, text, fault_points, routes):
-            if not suppressed(finding):
-                findings.append(finding)
+        raw_findings += check_file(relpath, text, rank_table, sites)
 
     # Cross-file checks only make sense on full-tree runs: a single-file
     # invocation cannot see the other call site of a duplicated name.
-    if not args.paths:
-        for name, sites in sorted(fault_points.items()):
-            if len(sites) <= 1:
-                continue
-            where = ", ".join(f"{p}:{l}" for p, l in sites)
-            for path, line in sites[1:]:
-                finding = {
-                    "rule": "fault-point",
-                    "path": path,
-                    "line": line,
-                    "message": f'fault point "{name}" is registered at '
-                    f"more than one call site ({where}); names must be "
-                    "unique so LSI_FAULT specs are unambiguous",
-                    "snippet": "",
-                }
-                if not suppressed(finding):
-                    findings.append(finding)
-        for (namespace, route), sites in sorted(routes.items()):
-            if namespace == "serve" and route in GRANDFATHERED_ROUTES:
-                continue
-            prefix = f"{namespace}.{route}."
-            if any(name.startswith(prefix) for name in fault_points):
-                continue
-            path, line = sites[0]
-            finding = {
-                "rule": "route-fault-point",
-                "path": path,
-                "line": line,
-                "message": f'route "/{route}" declares no fault point '
-                f'named "{prefix}*"; every new {namespace} route ships '
-                "with a kill switch the fault-torture job can arm",
-                "snippet": "",
-            }
-            if not suppressed(finding):
-                findings.append(finding)
+    if full_tree:
+        raw_findings += check_cross_file(sites)
+
+    if args.compile_commands is not None:
+        try:
+            compiled = compiled_sources(args.root, args.compile_commands)
+        except (OSError, json.JSONDecodeError) as err:
+            print(f"lsi_lint: cannot read {args.compile_commands}: {err}",
+                  file=sys.stderr)
+            return 2
+        for relpath in seen_files:
+            if (relpath.startswith("src/")
+                    and relpath.endswith((".cc", ".cpp"))
+                    and relpath not in compiled):
+                raw_findings.append(finding(
+                    "compile-coverage", relpath, 1,
+                    f"{relpath} is not a translation unit in "
+                    f"{args.compile_commands}; un-built sources are "
+                    "invisible to clang -Wthread-safety and clang-tidy"))
+
+    findings = [f for f in raw_findings if not suppressed(f)]
 
     # Only police allowlist staleness on full-tree runs; a single-file
-    # invocation legitimately leaves most entries unused.
-    if not args.paths:
+    # invocation legitimately leaves most entries unused. compile-coverage
+    # entries depend on the build host's architecture and are exempt.
+    if full_tree:
         for (rule, prefix), was_used in zip(allowlist, used):
-            if not was_used:
-                findings.append(
-                    {
-                        "rule": "stale-allowlist",
-                        "path": os.path.relpath(allowlist_path, args.root),
-                        "line": 1,
-                        "message": f"allowlist entry `{rule} {prefix}` "
-                        "matches nothing; delete it",
-                        "snippet": f"{rule} {prefix}",
-                    }
-                )
+            if not was_used and rule != "compile-coverage":
+                findings.append(finding(
+                    "stale-allowlist",
+                    os.path.relpath(allowlist_path, args.root), 1,
+                    f"allowlist entry `{rule} {prefix}` matches nothing; "
+                    "delete it",
+                    f"{rule} {prefix}"))
 
     if args.json:
         json.dump(findings, sys.stdout, indent=2)

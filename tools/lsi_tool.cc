@@ -94,10 +94,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/fault.h"
 #include "common/logging.h"
 #include "core/engine.h"
-#include "dbg/lock_tracker.h"
 #include "linalg/simd/simd.h"
 #include "obs/metrics.h"
 #include "live/compact.h"
@@ -122,7 +120,6 @@ int Usage() {
                "  lsi_tool related <engine.bin> <term>\n"
                "  lsi_tool info <engine.bin>\n"
                "  lsi_tool simd\n"
-               "  lsi_tool lockgraph\n"
                "  lsi_tool stats <engine.bin> [query text...]\n"
                "  lsi_tool serve <engine.bin> [--port=N] [--host=A]\n"
                "                 [--cache-mb=N] [--batch-max=N] "
@@ -294,65 +291,6 @@ int CommandInfo(int argc, char** argv) {
 int CommandSimd() {
   std::printf("%s\n",
               lsi::linalg::simd::PathName(lsi::linalg::simd::ActivePath()));
-  return 0;
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
-/// `lockgraph` subcommand: print this process's lock-rank table and
-/// acquired-before graph as JSON. Classes register as their mutexes
-/// construct and edges record only under LSI_DEADLOCK_DETECT=1, so the
-/// command first exercises the always-linked subsystems (logging,
-/// metrics, fault registry) to populate the table deterministically.
-/// For a serving process's live graph, hit /statusz ("dbg" block) or
-/// /metrics (lsi.dbg.lock.*) instead.
-int CommandLockGraph() {
-  LSI_LOG(Info) << "lockgraph: snapshotting lock-order state";
-  lsi::obs::MetricsRegistry::Global()
-      .GetCounter("lsi.tool.lockgraph.probe")
-      .Increment();
-  (void)lsi::fault::FaultRegistry::Global().PointNames();
-  const lsi::dbg::LockGraphSnapshot graph = lsi::dbg::SnapshotLockGraph();
-
-  std::string out = "{\n";
-  out += std::string("  \"enabled\": ") + (graph.enabled ? "true" : "false") +
-         ",\n";
-  out += "  \"violations\": " + std::to_string(graph.violations) + ",\n";
-  out += "  \"classes\": [";
-  bool first = true;
-  for (const auto& cls : graph.classes) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"name\": \"";
-    AppendJsonEscaped(&out, cls.name);
-    out += "\", \"rank\": " + std::to_string(cls.rank) +
-           ", \"acquisitions\": " + std::to_string(cls.acquisitions) + "}";
-  }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"edges\": [";
-  first = true;
-  for (const auto& edge : graph.edges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"from\": \"";
-    AppendJsonEscaped(&out, edge.from);
-    out += "\", \"to\": \"";
-    AppendJsonEscaped(&out, edge.to);
-    out += "\", \"count\": " + std::to_string(edge.count) +
-           ", \"from_site\": \"";
-    AppendJsonEscaped(&out, edge.from_site);
-    out += "\", \"to_site\": \"";
-    AppendJsonEscaped(&out, edge.to_site);
-    out += "\"}";
-  }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  std::fputs(out.c_str(), stdout);
   return 0;
 }
 
@@ -812,8 +750,6 @@ int main(int argc, char** argv) {
     code = CommandInfo(args_count, args_data);
   } else if (std::strcmp(args_data[1], "simd") == 0) {
     code = CommandSimd();
-  } else if (std::strcmp(args_data[1], "lockgraph") == 0) {
-    code = CommandLockGraph();
   } else if (std::strcmp(args_data[1], "stats") == 0) {
     code = CommandStats(args_count, args_data, &dump_format);
   } else if (std::strcmp(args_data[1], "serve") == 0) {
