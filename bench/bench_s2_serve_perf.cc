@@ -1,17 +1,15 @@
 // Serving-layer performance: throughput of the pieces on the HTTP hot
 // path — request parsing, JSON decode/encode, the sharded result cache,
-// the micro-batcher round trip, and a full LsiService::Handle hit. Not a
-// paper experiment; tracks regressions in the lsi::serve request path.
+// and a full LsiService::Handle, cached and uncached. Not a paper
+// experiment; tracks regressions in the lsi::serve request path.
 
 #include <chrono>
-#include <future>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/engine.h"
-#include "serve/batcher.h"
 #include "serve/http.h"
 #include "serve/json.h"
 #include "serve/query_cache.h"
@@ -120,26 +118,6 @@ void BM_QueryCacheHit(benchmark::State& state) {
   }
 }
 
-void BM_BatcherRoundTrip(benchmark::State& state) {
-  auto engine = MakeEngine();
-  lsi::serve::BatcherOptions options;
-  options.max_batch = static_cast<std::size_t>(state.range(0));
-  lsi::serve::QueryBatcher batcher(engine, options);
-  const std::vector<std::string> queries = {
-      "astronauts near the moon", "garlic pasta sauce",
-      "repairing a car engine", "moon orbit"};
-  for (auto _ : state) {
-    std::vector<std::future<lsi::serve::QueryBatcher::QueryResult>> futures;
-    for (std::size_t i = 0; i < options.max_batch; ++i) {
-      auto future = batcher.Submit(queries[i % queries.size()], 3);
-      if (future) futures.push_back(std::move(*future));
-    }
-    for (auto& future : futures) benchmark::DoNotOptimize(future.get());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(options.max_batch));
-}
-
 void BM_ServiceHandleCachedQuery(benchmark::State& state) {
   auto engine = MakeEngine();
   lsi::serve::LsiService service(engine);
@@ -160,13 +138,39 @@ void BM_ServiceHandleCachedQuery(benchmark::State& state) {
   service.Shutdown();
 }
 
+void BM_ServiceHandleUncachedQuery(benchmark::State& state) {
+  auto engine = MakeEngine();
+  lsi::serve::ServiceOptions options;
+  options.cache.max_bytes = 0;  // Every Handle misses and calls the engine.
+  lsi::serve::LsiService service(engine, options);
+  const std::vector<std::string> bodies = {
+      R"({"query": "astronauts near the moon", "top_k": 3})",
+      R"({"query": "garlic pasta sauce", "top_k": 3})",
+      R"({"query": "repairing a car engine", "top_k": 3})",
+      R"({"query": "moon orbit", "top_k": 3})"};
+  lsi::serve::HttpRequest request;
+  request.method = "POST";
+  request.target = "/query";
+  request.version = "HTTP/1.1";
+  request.keep_alive = true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    request.body = bodies[i++ % bodies.size()];
+    auto response = service.Handle(request, deadline);
+    benchmark::DoNotOptimize(response);
+  }
+  service.Shutdown();
+}
+
 }  // namespace
 
 BENCHMARK(BM_HttpParseRequest);
 BENCHMARK(BM_JsonParse);
 BENCHMARK(BM_JsonSerializeHits);
 BENCHMARK(BM_QueryCacheHit)->Arg(1)->Arg(8);
-BENCHMARK(BM_BatcherRoundTrip)->Arg(1)->Arg(16)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ServiceHandleCachedQuery);
+BENCHMARK(BM_ServiceHandleUncachedQuery);
 
 BENCHMARK_MAIN();

@@ -72,8 +72,8 @@ TRAJECTORY_PREFIXES = [
     "BM_JsonParse",
     "BM_JsonSerializeHits",
     "BM_QueryCacheHit",
-    "BM_BatcherRoundTrip",
     "BM_ServiceHandleCachedQuery",
+    "BM_ServiceHandleUncachedQuery",
     "BM_MergeTopKHits",
     "BM_ShardSetQueryBatch",
     "BM_RouterScatterGather",

@@ -27,7 +27,7 @@ namespace lsi::fault {
 /// and a never-taken branch — cheap enough for serving hot paths. Armed
 /// — via the `LSI_FAULT` environment variable or FaultRegistry::Arm —
 /// the point injects failures on a deterministic schedule, so tests can
-/// exercise every error path (short writes, ENOSPC at close, batcher
+/// exercise every error path (short writes, ENOSPC at close, server
 /// overload) without real disks filling up or real peers dying.
 ///
 /// `LSI_FAULT` grammar (also accepted by FaultRegistry::ArmFromString):
@@ -40,7 +40,7 @@ namespace lsi::fault {
 ///          | 'after@' N            fail on every hit past the first N
 ///          | 'always'              shorthand for after@0
 ///
-/// e.g. LSI_FAULT="io.fwrite=once@3;serve.batcher.enqueue=every@2".
+/// e.g. LSI_FAULT="io.fwrite=once@3;serve.server.admit=every@2".
 ///
 /// Every armed evaluation counts into the point's hit counter and every
 /// injection into its trigger counter; the obs exporters mirror them as

@@ -57,11 +57,9 @@ inline constexpr int kShardRouterState = 4;
 
 // ---- Band 10-19: serving entry points. ----
 // Request-path locks held while calling DOWN into live/fault/obs.
-// serve.server.queue is the accept/dispatch queue; the batcher enqueues
-// under its lock while resolving metrics handles and fault points, so
-// both sit below everything they call into.
+// serve.server.queue guards the accept/dispatch fd queue and is never
+// held across request work, so it sits below everything in the path.
 inline constexpr int kServeServerQueue = 10;
-inline constexpr int kServeBatcherQueue = 12;
 inline constexpr int kServeCacheShard = 14;
 
 // ---- Band 20-29: live index (writer / snapshot lifecycle). ----

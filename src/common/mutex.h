@@ -65,7 +65,7 @@ class LSI_CAPABILITY("mutex") Mutex {
 
 /// RAII lock for lsi::Mutex (the std::scoped_lock/unique_lock of this
 /// codebase). Holds the capability from construction to destruction;
-/// Unlock()/Lock() allow the batcher-style "drop the lock around slow
+/// Unlock()/Lock() allow the refresher-style "drop the lock around slow
 /// work inside a loop" pattern without losing analysis coverage.
 class LSI_SCOPED_CAPABILITY MutexLock {
  public:

@@ -43,12 +43,18 @@ bool SendAll(int fd, std::string_view data) {
   return true;
 }
 
+/// Counts `response` into lsi.serve.requests.{2xx,4xx,5xx}, resolved
+/// once per process.
 void CountResponse(const HttpResponse& response) {
-  const char* klass = response.status >= 500   ? "5xx"
-                      : response.status >= 400 ? "4xx"
-                                               : "2xx";
-  obs::MetricsRegistry::Global()
-      .GetCounter(std::string("lsi.serve.requests.") + klass)
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& ok = registry.GetCounter("lsi.serve.requests.2xx");
+  static obs::Counter& client_error =
+      registry.GetCounter("lsi.serve.requests.4xx");
+  static obs::Counter& server_error =
+      registry.GetCounter("lsi.serve.requests.5xx");
+  (response.status >= 500   ? server_error
+   : response.status >= 400 ? client_error
+                            : ok)
       .Increment();
 }
 
@@ -159,7 +165,9 @@ void HttpServer::AcceptLoop() {
     accepted.Increment();
 
     bool admit = false;
-    {
+    // The fault point simulates overload: refused exactly like a full
+    // queue, so clients see the real 503 + Retry-After path.
+    if (!LSI_FAULT_POINT("serve.server.admit")) {
       MutexLock lock(queue_mutex_);
       if (pending_fds_.size() < options_.max_queued_connections) {
         pending_fds_.push_back(fd);

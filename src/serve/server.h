@@ -47,11 +47,12 @@ struct ServerOptions {
 /// queue drained by a fixed set of worker threads; each worker owns one
 /// connection at a time and loops request -> handler -> response over
 /// keep-alive. There is deliberately no per-connection thread creation
-/// and no event loop — bounded queues give natural admission control,
-/// and the engine work itself is batched behind the handler.
+/// and no event loop — the bounded queue gives natural admission
+/// control, and each worker runs its requests' engine work itself.
 ///
 /// Overload and failure semantics:
 ///   - queue full                -> 503 + Retry-After, connection closed
+///                                  (fault point serve.server.admit)
 ///   - handler past the deadline -> 504 (handler enforces it; see below)
 ///   - unparseable request       -> 400/413/431/501, connection closed,
 ///                                  worker thread lives on
@@ -59,9 +60,9 @@ struct ServerOptions {
 ///                                  requests with Connection: close,
 ///                                  then joins every thread
 ///
-/// The handler receives the parsed request plus the absolute deadline;
-/// anything it blocks on should use wait_until(deadline) and return a
-/// 504 response on expiry (LsiService does).
+/// The handler receives the parsed request plus the absolute deadline
+/// and answers 504 once it has passed (LsiService checks it before and
+/// after each engine call).
 ///
 /// Emits lsi.serve.{connections,requests.*,admission_rejected,
 /// parse_errors} counters, the lsi.serve.request.latency_ms histogram,

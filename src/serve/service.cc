@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <utility>
@@ -19,13 +20,9 @@ namespace {
 // RunQuery reports transport-level outcomes through Status messages the
 // route handler translates back to HTTP codes.
 constexpr char kDeadlineMessage[] = "serve: deadline exceeded";
-constexpr char kOverloadMessage[] = "serve: overloaded";
 
 Status DeadlineStatus() {
   return Status::FailedPrecondition(kDeadlineMessage);
-}
-Status OverloadStatus() {
-  return Status::FailedPrecondition(kOverloadMessage);
 }
 
 HttpResponse JsonOk(std::string body) {
@@ -39,11 +36,6 @@ HttpResponse JsonOk(std::string body) {
 HttpResponse StatusToResponse(const Status& status) {
   if (status.message() == kDeadlineMessage) {
     return JsonError(504, "deadline exceeded");
-  }
-  if (status.message() == kOverloadMessage) {
-    HttpResponse response = JsonError(503, "overloaded, retry later");
-    response.extra_headers.emplace_back("Retry-After", "1");
-    return response;
   }
   switch (status.code()) {
     case StatusCode::kInvalidArgument:
@@ -116,16 +108,28 @@ HttpResponse WriteStatusToResponse(const Status& status) {
   }
 }
 
-const char* WriteRouteName(live::WalOp op) {
-  switch (op) {
-    case live::WalOp::kAdd:
-      return "add";
-    case live::WalOp::kDelete:
-      return "delete";
-    case live::WalOp::kUpdate:
-      return "update";
-  }
-  return "unknown";
+/// lsi.serve.live.<route>.{requests,rejected,errors} for one write route.
+struct WriteRouteCounters {
+  obs::Counter& requests;
+  obs::Counter& rejected;
+  obs::Counter& errors;
+};
+
+WriteRouteCounters ResolveWriteRouteCounters(const std::string& route) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const std::string prefix = "lsi.serve.live." + route;
+  return {registry.GetCounter(prefix + ".requests"),
+          registry.GetCounter(prefix + ".rejected"),
+          registry.GetCounter(prefix + ".errors")};
+}
+
+/// The counters of `op`'s route, resolved once per process.
+const WriteRouteCounters& WriteCounters(live::WalOp op) {
+  // Indexed by WalOp's wire value: kAdd 0, kDelete 1, kUpdate 2.
+  static const std::array<WriteRouteCounters, 3> counters = {
+      ResolveWriteRouteCounters("add"), ResolveWriteRouteCounters("delete"),
+      ResolveWriteRouteCounters("update")};
+  return counters[static_cast<std::size_t>(op)];
 }
 
 /// Decrements the in-flight write gauge on every exit path.
@@ -156,14 +160,6 @@ LsiService::LsiService(const core::LsiEngine* engine, live::LiveEngine* live,
       live_(live),
       options_(options),
       cache_(options.cache),
-      batcher_(live != nullptr
-                   ? QueryBatcher::EngineProvider(
-                         [live] { return live->Snapshot(); })
-                   : QueryBatcher::EngineProvider([engine] {
-                       return QueryBatcher::EngineSnapshot(
-                           QueryBatcher::EngineSnapshot(), engine);
-                     }),
-               options.batch),
       start_time_(std::chrono::steady_clock::now()) {}
 
 LsiService::LsiService(const core::LsiEngine& engine, ServiceOptions options)
@@ -173,27 +169,17 @@ LsiService::LsiService(live::LiveEngine& live, ServiceOptions options)
     : LsiService(nullptr, &live, options) {}
 
 void LsiService::Shutdown() {
-  batcher_.Stop();
+  shut_down_.store(true, std::memory_order_release);
   // Drain guarantee: acknowledged writes are already durable in the
   // WAL; publishing the pending epoch makes them visible too, so a
   // health check after drain observes everything that was acked.
   if (live_ != nullptr) (void)live_->Flush();
 }
 
-QueryBatcher::EngineSnapshot LsiService::CurrentEngine() const {
+LsiService::EngineSnapshot LsiService::CurrentEngine() const {
   if (live_ != nullptr) return live_->Snapshot();
-  return QueryBatcher::EngineSnapshot(QueryBatcher::EngineSnapshot(),
-                                      engine_);
-}
-
-std::string LsiService::CacheKey(const core::LsiEngine& engine,
-                                 const std::string& query,
-                                 std::size_t top_k) const {
-  std::string key = QueryCache::Key(engine.AnalyzeQueryCounts(query), top_k);
-  if (live_ != nullptr) {
-    key += "|e" + std::to_string(live_->epoch());
-  }
-  return key;
+  // Non-owning alias: the caller keeps the fixed engine alive.
+  return EngineSnapshot(EngineSnapshot(), engine_);
 }
 
 HttpResponse LsiService::Handle(
@@ -260,9 +246,8 @@ HttpResponse LsiService::Handle(
 
 HttpResponse LsiService::HandleWrite(live::WalOp op,
                                      const HttpRequest& request) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const std::string route = WriteRouteName(op);
-  registry.GetCounter("lsi.serve.live." + route + ".requests").Increment();
+  const WriteRouteCounters& counters = WriteCounters(op);
+  counters.requests.Increment();
   if (live_ == nullptr) {
     return JsonError(403, "server is read-only; restart `lsi_tool serve` "
                           "with --live to enable writes");
@@ -286,7 +271,7 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
       inflight_writes_.fetch_add(1, std::memory_order_acq_rel) >=
           options_.max_pending_writes) {
     if (!faulted) inflight_writes_.fetch_sub(1, std::memory_order_acq_rel);
-    registry.GetCounter("lsi.serve.live." + route + ".rejected").Increment();
+    counters.rejected.Increment();
     return RetryLater("write backlog full, retry later");
   }
   ScopedInflight inflight(inflight_writes_);
@@ -329,7 +314,7 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
         Status::Internal("serve: unknown write op"));
   });
   if (!receipt.ok()) {
-    registry.GetCounter("lsi.serve.live." + route + ".errors").Increment();
+    counters.errors.Increment();
     return WriteStatusToResponse(receipt.status());
   }
 
@@ -347,28 +332,63 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
   return JsonOk(JsonValue(std::move(reply)).Serialize());
 }
 
-Result<std::vector<core::EngineHit>> LsiService::RunQuery(
-    const std::string& query, std::size_t top_k,
+Result<std::vector<std::vector<core::EngineHit>>> LsiService::RunQuery(
+    const std::vector<std::string>& queries, std::size_t top_k,
     std::chrono::steady_clock::time_point deadline) {
-  const std::string key = CacheKey(*CurrentEngine(), query, top_k);
-  if (auto cached = cache_.Get(key)) {
-    return std::move(*cached);
+  // One snapshot answers the whole request and keys its cache entries.
+  // Live mode reads the epoch *before* pinning: LiveEngine swaps in a new
+  // snapshot before it bumps the epoch, so the pinned engine is at least
+  // as new as the epoch the keys name, and a key never names an epoch
+  // newer than the engine that answered it. Keys from superseded epochs
+  // age out of the LRU unread.
+  const std::string epoch_tag =
+      live_ != nullptr ? "|e" + std::to_string(live_->epoch()) : "";
+  const EngineSnapshot engine = CurrentEngine();
+
+  std::vector<std::vector<core::EngineHit>> results(queries.size());
+  std::vector<std::string> keys(queries.size());
+  std::vector<std::size_t> missed;
+  std::vector<std::string> missed_queries;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    keys[i] = QueryCache::Key(engine->AnalyzeQueryCounts(queries[i]), top_k) +
+              epoch_tag;
+    if (auto cached = cache_.Get(keys[i])) {
+      results[i] = std::move(*cached);
+    } else {
+      missed.push_back(i);
+      missed_queries.push_back(queries[i]);
+    }
   }
-  auto future = batcher_.Submit(query, top_k);
-  if (!future) return OverloadStatus();
-  if (future->wait_until(deadline) != std::future_status::ready) {
-    // The batcher will still fulfill the promise; only this waiter gives
-    // up. Nothing is cached for an answer nobody received.
-    return DeadlineStatus();
+  if (missed.empty()) return results;
+
+  if (std::chrono::steady_clock::now() >= deadline) return DeadlineStatus();
+  // A lone miss calls Query; QueryBatch equals it element-wise, and its
+  // first failing query decides the status.
+  std::vector<std::vector<core::EngineHit>> answered;
+  if (missed_queries.size() == 1) {
+    auto hits = engine->Query(missed_queries.front(), top_k);
+    if (!hits.ok()) return hits.status();
+    answered.push_back(std::move(hits).value());
+  } else {
+    auto batch = engine->QueryBatch(missed_queries, top_k);
+    if (!batch.ok()) return batch.status();
+    answered = std::move(batch).value();
   }
-  Result<std::vector<core::EngineHit>> result = future->get();
-  if (result.ok()) cache_.Put(key, result.value());
-  return result;
+  // Nobody waits for a late answer, so it is not cached either.
+  if (std::chrono::steady_clock::now() >= deadline) return DeadlineStatus();
+  for (std::size_t j = 0; j < missed.size(); ++j) {
+    cache_.Put(keys[missed[j]], answered[j]);
+    results[missed[j]] = std::move(answered[j]);
+  }
+  return results;
 }
 
 HttpResponse LsiService::HandleQuery(
     const HttpRequest& request,
     std::chrono::steady_clock::time_point deadline) {
+  if (shut_down_.load(std::memory_order_acquire)) {
+    return RetryLater("shutting down, retry later");
+  }
   auto body = JsonValue::Parse(request.body);
   if (!body.ok()) return JsonError(400, body.status().message());
   if (!body->is_object()) {
@@ -391,62 +411,37 @@ HttpResponse LsiService::HandleQuery(
     if (!single->is_string()) {
       return JsonError(400, "query must be a string");
     }
-    auto result = RunQuery(single->string_value(), top_k, deadline);
+    auto result = RunQuery({single->string_value()}, top_k, deadline);
     if (!result.ok()) return StatusToResponse(result.status());
     JsonValue::Object reply;
-    reply.emplace_back("hits", HitsToJson(result.value()));
+    reply.emplace_back("hits", HitsToJson(result->front()));
     return JsonOk(JsonValue(std::move(reply)).Serialize());
   }
 
   if (!multi->is_array()) {
     return JsonError(400, "queries must be an array of strings");
   }
-  const JsonValue::Array& queries = multi->array();
-  if (queries.empty() || queries.size() > options_.max_queries_per_request) {
+  const JsonValue::Array& items = multi->array();
+  if (items.empty() || items.size() > options_.max_queries_per_request) {
     return JsonError(400,
                      "queries length must be in [1, " +
                          std::to_string(options_.max_queries_per_request) +
                          "]");
   }
-  for (const JsonValue& q : queries) {
+  std::vector<std::string> queries;
+  queries.reserve(items.size());
+  for (const JsonValue& q : items) {
     if (!q.is_string()) {
       return JsonError(400, "queries must be an array of strings");
     }
+    queries.push_back(q.string_value());
   }
-  // Cache probes and submissions all happen before the first wait so the
-  // misses land in the same micro-batch.
-  std::vector<Result<std::vector<core::EngineHit>>> results;
-  results.reserve(queries.size());
-  std::vector<std::optional<std::future<QueryBatcher::QueryResult>>> futures(
-      queries.size());
-  std::vector<std::string> keys(queries.size());
-  // One snapshot keys the whole request; the batcher pins its own per
-  // flush, so an epoch publish mid-request costs at most a cache miss.
-  const QueryBatcher::EngineSnapshot snapshot = CurrentEngine();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const std::string& text = queries[i].string_value();
-    keys[i] = CacheKey(*snapshot, text, top_k);
-    if (auto cached = cache_.Get(keys[i])) {
-      results.emplace_back(std::move(*cached));
-      continue;
-    }
-    futures[i] = batcher_.Submit(text, top_k);
-    if (!futures[i]) return StatusToResponse(OverloadStatus());
-    results.emplace_back(std::vector<core::EngineHit>{});
-  }
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (!futures[i]) continue;  // Served from cache.
-    if (futures[i]->wait_until(deadline) != std::future_status::ready) {
-      return StatusToResponse(DeadlineStatus());
-    }
-    results[i] = futures[i]->get();
-    if (!results[i].ok()) return StatusToResponse(results[i].status());
-    cache_.Put(keys[i], results[i].value());
-  }
+  auto results = RunQuery(queries, top_k, deadline);
+  if (!results.ok()) return StatusToResponse(results.status());
   JsonValue::Array rendered;
-  rendered.reserve(results.size());
-  for (const auto& result : results) {
-    rendered.push_back(HitsToJson(result.value()));
+  rendered.reserve(results->size());
+  for (const auto& hits : results.value()) {
+    rendered.push_back(HitsToJson(hits));
   }
   JsonValue::Object reply;
   reply.emplace_back("results", JsonValue(std::move(rendered)));
@@ -492,7 +487,7 @@ HttpResponse LsiService::HandleStatusz() {
                                     start_time_)
           .count();
 
-  const QueryBatcher::EngineSnapshot snapshot = CurrentEngine();
+  const EngineSnapshot snapshot = CurrentEngine();
   JsonValue::Object engine;
   engine.emplace_back(
       "documents", JsonValue(static_cast<double>(snapshot->NumDocuments())));
@@ -500,18 +495,6 @@ HttpResponse LsiService::HandleStatusz() {
                       JsonValue(static_cast<double>(snapshot->NumTerms())));
   engine.emplace_back("rank",
                       JsonValue(static_cast<double>(snapshot->rank())));
-
-  JsonValue::Object batch;
-  batch.emplace_back("queue_depth",
-                     JsonValue(static_cast<double>(batcher_.queue_depth())));
-  batch.emplace_back(
-      "flushes",
-      JsonValue(static_cast<double>(
-          registry.GetCounter("lsi.serve.batch.flushes").value())));
-  batch.emplace_back(
-      "rejected",
-      JsonValue(static_cast<double>(
-          registry.GetCounter("lsi.serve.batch.rejected").value())));
 
   JsonValue::Object cache;
   cache.emplace_back("entries",
@@ -551,7 +534,6 @@ HttpResponse LsiService::HandleStatusz() {
     status.emplace_back("dbg", JsonValue(std::move(dbg_block)));
   }
   status.emplace_back("engine", JsonValue(std::move(engine)));
-  status.emplace_back("batch", JsonValue(std::move(batch)));
   status.emplace_back("cache", JsonValue(std::move(cache)));
   status.emplace_back("requests", JsonValue(std::move(requests)));
   if (live_ != nullptr) {

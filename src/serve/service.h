@@ -6,11 +6,11 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "live/live_engine.h"
 #include "live/wal.h"
-#include "serve/batcher.h"
 #include "serve/http.h"
 #include "serve/query_cache.h"
 
@@ -20,7 +20,6 @@ namespace lsi::serve {
 /// ServerOptions).
 struct ServiceOptions {
   QueryCacheOptions cache;
-  BatcherOptions batch;
   /// top_k when a request body omits it.
   std::size_t default_top_k = 10;
   /// Requests asking for more than this are rejected with 400.
@@ -34,16 +33,17 @@ struct ServiceOptions {
 };
 
 /// The HTTP-facing application layer: routes requests to a loaded
-/// LsiEngine through the micro-batcher and result cache. Transport-free
-/// and deterministic, so tests can drive it with plain HttpRequest
-/// values; HttpServer plugs Handle() in as its handler.
+/// LsiEngine through the result cache. Each /query runs on the calling
+/// thread against one pinned engine snapshot. Transport-free and
+/// deterministic, so tests can drive it with plain HttpRequest values;
+/// HttpServer plugs Handle() in as its handler.
 ///
 /// Routes:
 ///   POST /query    {"query": "...", "top_k": 10}            -> {"hits": [...]}
 ///                  {"queries": ["...", ...], "top_k": 10}   -> {"results": [[...], ...]}
 ///   POST /related  {"term": "...", "top_k": 10}             -> {"related": [...]}
 ///   GET  /healthz  liveness probe, "ok"
-///   GET  /statusz  JSON snapshot: engine shape, queue, cache, totals
+///   GET  /statusz  JSON snapshot: engine shape, cache, totals
 ///   GET  /metrics  Prometheus exposition of the global registry
 ///
 /// Live mode (constructed over a live::LiveEngine) adds write routes;
@@ -64,19 +64,18 @@ class LsiService {
   /// does not close, so a drained service can still be queried).
   LsiService(live::LiveEngine& live, ServiceOptions options = {});
 
-  /// Handles one parsed request. `deadline` bounds how long the handler
-  /// may wait on the batcher; exceeding it yields a 504.
+  /// Handles one parsed request. A /query whose `deadline` has passed
+  /// before or after its engine call answers 504 and caches nothing.
+  /// Safe to call from many threads at once.
   HttpResponse Handle(const HttpRequest& request,
                       std::chrono::steady_clock::time_point deadline);
 
-  /// Stops the batcher, flushing queued queries, and — in live mode —
-  /// publishes any pending live-write epoch so every acknowledged write
-  /// is visible and durable before the process exits. Handle() calls
-  /// arriving afterwards answer 503.
+  /// Makes every later /query answer 503 and — in live mode — publishes
+  /// any pending live-write epoch so every acknowledged write is visible
+  /// and durable before the process exits.
   void Shutdown();
 
   QueryCache& cache() { return cache_; }
-  QueryBatcher& batcher() { return batcher_; }
 
  private:
   LsiService(const core::LsiEngine* engine, live::LiveEngine* live,
@@ -88,27 +87,25 @@ class LsiService {
   HttpResponse HandleWrite(live::WalOp op, const HttpRequest& request);
   HttpResponse HandleStatusz();
 
+  using EngineSnapshot = std::shared_ptr<const core::LsiEngine>;
+
   /// The engine this request should see: the live epoch snapshot, or a
   /// non-owning alias of the fixed engine.
-  QueryBatcher::EngineSnapshot CurrentEngine() const;
+  EngineSnapshot CurrentEngine() const;
 
-  /// Cache key for `query` against `engine`. Live mode appends the
-  /// epoch: keys from superseded epochs age out of the LRU unread.
-  std::string CacheKey(const core::LsiEngine& engine,
-                       const std::string& query, std::size_t top_k) const;
-
-  /// Runs one query through cache + batcher. Returns a Result so the
-  /// multi-query path can aggregate; deadline overruns surface as a
-  /// synthetic status with code kFailedPrecondition tagged by message.
-  Result<std::vector<core::EngineHit>> RunQuery(
-      const std::string& query, std::size_t top_k,
+  /// Answers the queries of one /query body on one pinned snapshot:
+  /// cache hits come from the cache, and the misses go to the engine in
+  /// one call. Deadline overruns surface as a synthetic status with code
+  /// kFailedPrecondition tagged by message.
+  Result<std::vector<std::vector<core::EngineHit>>> RunQuery(
+      const std::vector<std::string>& queries, std::size_t top_k,
       std::chrono::steady_clock::time_point deadline);
 
   const core::LsiEngine* engine_;  ///< Read-only mode; null in live mode.
   live::LiveEngine* live_;         ///< Live mode; null in read-only mode.
   ServiceOptions options_;
   QueryCache cache_;
-  QueryBatcher batcher_;
+  std::atomic<bool> shut_down_{false};
   std::atomic<std::size_t> inflight_writes_{0};
   std::chrono::steady_clock::time_point start_time_;
 };

@@ -168,7 +168,7 @@ class EmitModeTest(BenchGuardTestBase):
             ("BM_JsonParse", 1.2, "us"),
             ("BM_JsonSerializeHits", 2.5, "us"),
             ("BM_QueryCacheHit/8", 90.0, "ns"),
-            ("BM_BatcherRoundTrip/16", 40.0, "us"),
+            ("BM_ServiceHandleUncachedQuery", 40.0, "us"),
             ("BM_ServiceHandleCachedQuery", 1.1, "us"),
         ]))
         out = os.path.join(self.tmp.name, "BENCH_8.json")
@@ -182,7 +182,7 @@ class EmitModeTest(BenchGuardTestBase):
         self.assertIn("BM_SimdDot/avx2/128", snap["kernels"])
         self.assertEqual(snap["kernels"]["BM_HttpParseRequest"], 300.0)
         self.assertEqual(snap["kernels"]["BM_QueryCacheHit/8"], 90.0)
-        self.assertEqual(snap["kernels"]["BM_BatcherRoundTrip/16"], 40e3)
+        self.assertEqual(snap["kernels"]["BM_ServiceHandleUncachedQuery"], 40e3)
 
     def test_emit_rejects_duplicate_names_across_inputs(self):
         a = self.write_json("a.json", gbench_json(TRAJ))

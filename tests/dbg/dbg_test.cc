@@ -175,7 +175,7 @@ TEST(LockOrderTest, CondVarWaitReacquireDoesNotFalsePositive) {
   std::atomic<bool> ready{false};
   // Waiter blocks holding only mu; the wait drops mu from its held
   // stack and the wakeup re-checks the re-acquire. Neither direction
-  // may report: this is the batcher/refresher idiom.
+  // may report: this is the refresher/prober idiom.
   std::thread waiter([&] {
     MutexLock lock(mu);
     while (!ready.load()) cv.WaitFor(lock, std::chrono::milliseconds(5));

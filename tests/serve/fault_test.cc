@@ -116,11 +116,11 @@ std::string QueryRequest() {
          std::to_string(body.size()) + "\r\n\r\n" + body;
 }
 
-/// Live-server fault drill: a fault armed on the batcher's admission
+/// Live-server fault drill: a fault armed on the server's admission
 /// path must surface to HTTP clients as a well-formed 503 with a
 /// Retry-After hint, and the server must answer normally again the
 /// moment the fault clears.
-TEST(ServeFaultTest, BatcherFaultYields503ThenRecovers) {
+TEST(ServeFaultTest, AdmissionFaultYields503ThenRecovers) {
   fault::FaultRegistry& faults = fault::FaultRegistry::Global();
   faults.DisarmAll();
 
@@ -138,7 +138,7 @@ TEST(ServeFaultTest, BatcherFaultYields503ThenRecovers) {
       options);
   ASSERT_TRUE(server.Start().ok());
 
-  ASSERT_TRUE(faults.ArmFromString("serve.batcher.enqueue=once@1").ok());
+  ASSERT_TRUE(faults.ArmFromString("serve.server.admit=once@1").ok());
   {
     TestClient client(server.port());
     client.Send(QueryRequest());
@@ -149,9 +149,12 @@ TEST(ServeFaultTest, BatcherFaultYields503ThenRecovers) {
     EXPECT_NE(response.find("\"error\""), std::string::npos) << response;
   }
   faults.DisarmAll();
+  // The refused request never reached the service, so nothing is cached.
+  EXPECT_EQ(service.cache().stats().entries, 0u);
+  EXPECT_EQ(service.cache().stats().misses, 0u);
 
-  // The same query (and a second one) must now succeed: the rejected
-  // request was not cached and the batcher kept running.
+  // The same query (and a second one) must now succeed: the server kept
+  // accepting, and the first success is a real engine answer.
   for (int i = 0; i < 2; ++i) {
     TestClient client(server.port());
     client.Send(QueryRequest());
@@ -159,6 +162,8 @@ TEST(ServeFaultTest, BatcherFaultYields503ThenRecovers) {
     EXPECT_EQ(StatusOf(response), 200) << response;
     EXPECT_NE(response.find("\"hits\""), std::string::npos) << response;
   }
+  EXPECT_EQ(service.cache().stats().misses, 1u);
+  EXPECT_EQ(service.cache().stats().hits, 1u);
 
   server.Stop();
   service.Shutdown();

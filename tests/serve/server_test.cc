@@ -231,6 +231,30 @@ TEST(HttpServerTest, StopDrainsAndIsIdempotent) {
   EXPECT_TRUE(idle.ServerClosed());
 }
 
+TEST(HttpServerTest, FullAdmissionQueueAnswers503WithRetryAfter) {
+  ServerOptions options = LoopbackOptions();
+  options.max_queued_connections = 0;  // No connection is ever admitted.
+  bool handled = false;
+  HttpServer server(
+      [&handled](const HttpRequest&, std::chrono::steady_clock::time_point) {
+        handled = true;
+        return HttpResponse{};
+      },
+      options);
+  ASSERT_TRUE(server.Start().ok());
+  // The answer comes at accept time, before the server reads a byte, so
+  // the client need not send one.
+  TestClient client(server.port());
+  const std::string response = client.ReadResponse();
+  EXPECT_EQ(StatusOf(response), 503) << response;
+  EXPECT_NE(response.find("Retry-After: 1\r\n"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("\"error\""), std::string::npos) << response;
+  EXPECT_TRUE(client.ServerClosed());
+  server.Stop();
+  EXPECT_FALSE(handled);  // Shed before any parsing or handler work.
+}
+
 TEST(HttpServerTest, RestartOnSamePortAfterStop) {
   ServerOptions options = LoopbackOptions();
   int port = 0;

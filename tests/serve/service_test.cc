@@ -2,11 +2,14 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "par/par.h"
 #include "serve/json.h"
 #include "text/analyzer.h"
 
@@ -220,7 +223,6 @@ TEST_F(LsiServiceTest, StatuszReportsEngineAndCacheShape) {
   ASSERT_NE(engine, nullptr);
   EXPECT_DOUBLE_EQ(engine->Find("documents")->number(), 6.0);
   EXPECT_NE(doc->Find("cache"), nullptr);
-  EXPECT_NE(doc->Find("batch"), nullptr);
   EXPECT_NE(doc->Find("requests"), nullptr);
 }
 
@@ -234,33 +236,13 @@ TEST_F(LsiServiceTest, MetricsExportIsPrometheus) {
 
 TEST(LsiServiceDeadlineTest, ExpiredDeadlineYields504) {
   LsiEngine engine = BuildEngine();
-  ServiceOptions options;
-  // Flusher lingers far longer than the test: the future cannot be
-  // ready, so the expired deadline must surface as 504.
-  options.batch.max_batch = 64;
-  options.batch.max_delay = std::chrono::microseconds(30'000'000);
-  LsiService service(engine, options);
+  LsiService service(engine);
   HttpResponse response =
       service.Handle(Request("POST", "/query", R"({"query": "moon"})"),
                      std::chrono::steady_clock::now() -
                          std::chrono::milliseconds(1));
   EXPECT_EQ(response.status, 504);
-  service.Shutdown();
-}
-
-TEST(LsiServiceOverloadTest, FullBatcherQueueYields503WithRetryAfter) {
-  LsiEngine engine = BuildEngine();
-  ServiceOptions options;
-  options.batch.max_queue = 0;  // Every submit is refused: synthetic overload.
-  LsiService service(engine, options);
-  HttpResponse response = service.Handle(
-      Request("POST", "/query", R"({"query": "moon"})"), Soon());
-  EXPECT_EQ(response.status, 503);
-  bool saw_retry_after = false;
-  for (const auto& [name, value] : response.extra_headers) {
-    if (name == "Retry-After") saw_retry_after = true;
-  }
-  EXPECT_TRUE(saw_retry_after);
+  EXPECT_EQ(service.cache().stats().entries, 0u);  // Nothing cached.
   service.Shutdown();
 }
 
@@ -271,6 +253,80 @@ TEST(LsiServiceShutdownTest, HandleAfterShutdownAnswers503) {
   HttpResponse response = service.Handle(
       Request("POST", "/query", R"({"query": "moon"})"), Soon());
   EXPECT_EQ(response.status, 503);
+}
+
+/// Distinct /query bodies over the corpus vocabulary: even ones ask one
+/// query, odd ones three (the last out of vocabulary), with top_k 1..4.
+std::vector<std::string> DistinctQueryBodies() {
+  const std::vector<std::string> words = {
+      "moon",   "orbit", "astronauts", "rocket", "stars", "engine", "car",
+      "brakes", "road",  "garlic",     "pasta",  "sauce", "bread"};
+  std::vector<std::string> pairs;
+  for (std::size_t a = 0; a < words.size(); ++a) {
+    for (std::size_t b = a + 1; b < words.size(); ++b) {
+      pairs.push_back(words[a] + " " + words[b]);
+    }
+  }
+  std::vector<std::string> bodies;
+  for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) {
+    const std::string top_k = std::to_string(1 + bodies.size() % 4);
+    if (bodies.size() % 2 == 0) {
+      bodies.push_back(R"({"query": ")" + pairs[i] + R"(", "top_k": )" +
+                       top_k + "}");
+    } else {
+      bodies.push_back(R"({"queries": [")" + pairs[i] + R"(", ")" +
+                       pairs[i + 1] + R"(", "zzzqqq"], "top_k": )" + top_k +
+                       "}");
+    }
+  }
+  return bodies;
+}
+
+/// Answers every body on a fresh service: serially, or from `threads`
+/// callers at once, caller t taking bodies t, t + threads, ...
+std::vector<std::string> AnswerAll(const LsiEngine& engine,
+                                   const std::vector<std::string>& bodies,
+                                   std::size_t threads) {
+  LsiService service(engine);
+  std::vector<std::string> answers(bodies.size());
+  const auto answer_from = [&](std::size_t first, std::size_t stride) {
+    for (std::size_t i = first; i < bodies.size(); i += stride) {
+      const HttpResponse response =
+          service.Handle(Request("POST", "/query", bodies[i]), Soon());
+      answers[i] = std::to_string(response.status) + " " + response.body;
+    }
+  };
+  if (threads <= 1) {
+    answer_from(0, 1);
+  } else {
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < threads; ++t) {
+      callers.emplace_back(answer_from, t, threads);
+    }
+    for (std::thread& caller : callers) caller.join();
+  }
+  service.Shutdown();
+  return answers;
+}
+
+TEST(LsiServiceConcurrencyTest, ConcurrentCallersMatchSerialRun) {
+  const LsiEngine engine = BuildEngine();
+  const std::vector<std::string> bodies = DistinctQueryBodies();
+  ASSERT_GE(bodies.size(), 32u);
+  par::SetThreads(1);
+  const std::vector<std::string> serial = AnswerAll(engine, bodies, 1);
+  for (const std::string& answer : serial) {
+    ASSERT_EQ(answer.rfind("200 ", 0), 0u) << answer;
+  }
+  for (const std::size_t par_threads : {1, 8}) {
+    par::SetThreads(par_threads);
+    const std::vector<std::string> concurrent = AnswerAll(engine, bodies, 8);
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      EXPECT_EQ(concurrent[i], serial[i])
+          << "LSI threads " << par_threads << ", body " << bodies[i];
+    }
+  }
+  par::SetThreads(0);
 }
 
 }  // namespace

@@ -26,12 +26,12 @@
 //       registry (JSON unless --stats=prom is also given).
 //
 //   lsi_tool serve <engine.bin> [--port=N] [--host=A] [--threads=N]
-//                  [--cache-mb=N] [--batch-max=N] [--deadline-ms=N]
+//                  [--cache-mb=N] [--deadline-ms=N]
 //       Loads an engine once and serves it over HTTP until SIGINT or
 //       SIGTERM, then drains in-flight requests and exits 0. Routes:
 //       POST /query, POST /related, GET /healthz, /statusz, /metrics.
-//       Flag defaults come from LSI_PORT, LSI_CACHE_MB, LSI_BATCH_MAX,
-//       LSI_DEADLINE_MS (and LSI_THREADS, as everywhere else).
+//       Flag defaults come from LSI_PORT, LSI_CACHE_MB, LSI_DEADLINE_MS
+//       (and LSI_THREADS, as everywhere else).
 //
 //   lsi_tool serve --live=<dir> [serve flags] [--rank=N] [--weighting=W]
 //                  [--publish-every=N] [--refresh-ms=N]
@@ -122,8 +122,7 @@ int Usage() {
                "  lsi_tool simd\n"
                "  lsi_tool stats <engine.bin> [query text...]\n"
                "  lsi_tool serve <engine.bin> [--port=N] [--host=A]\n"
-               "                 [--cache-mb=N] [--batch-max=N] "
-               "[--deadline-ms=N]\n"
+               "                 [--cache-mb=N] [--deadline-ms=N]\n"
                "  lsi_tool serve --live=<dir> [serve flags] [--rank=N]\n"
                "                 [--weighting=W] [--publish-every=N]\n"
                "                 [--refresh-ms=N] [--drift-threshold=R]\n"
@@ -153,7 +152,7 @@ int Usage() {
                "  LSI_LOG_LEVEL=debug|info|warn|error  log verbosity\n"
                "  LSI_DEADLOCK_DETECT=1              runtime lock-order "
                "checking\n"
-               "  LSI_PORT, LSI_CACHE_MB, LSI_BATCH_MAX, LSI_DEADLINE_MS\n"
+               "  LSI_PORT, LSI_CACHE_MB, LSI_DEADLINE_MS\n"
                "                                     serve flag defaults\n");
   return 2;
 }
@@ -359,7 +358,6 @@ int CommandServe(int argc, char** argv) {
   if (argc < 3) return Usage();
   std::size_t port = SizeFromEnv("LSI_PORT", 8080);
   std::size_t cache_mb = SizeFromEnv("LSI_CACHE_MB", 64);
-  std::size_t batch_max = SizeFromEnv("LSI_BATCH_MAX", 16);
   std::size_t deadline_ms = SizeFromEnv("LSI_DEADLINE_MS", 2000);
   std::string host = "0.0.0.0";
   const char* engine_path = nullptr;
@@ -376,8 +374,6 @@ int CommandServe(int argc, char** argv) {
       host = arg + 7;
     } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
       ok = ParseSizeValue(arg + 11, &cache_mb);
-    } else if (std::strncmp(arg, "--batch-max=", 12) == 0) {
-      ok = ParseSizeValue(arg + 12, &batch_max) && batch_max > 0;
     } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
       ok = ParseSizeValue(arg + 14, &deadline_ms) && deadline_ms > 0;
     } else if (std::strncmp(arg, "--live=", 7) == 0) {
@@ -458,8 +454,8 @@ int CommandServe(int argc, char** argv) {
 
   lsi::serve::ServiceOptions service_options;
   service_options.cache.max_bytes = cache_mb * 1024 * 1024;
-  service_options.batch.max_batch = batch_max;
-  // Heap-allocated because LsiService is pinned (batcher thread + mutex).
+  // Heap-allocated because LsiService is pinned (cache locks and atomics)
+  // and the mode picks its constructor at run time.
   std::unique_ptr<lsi::serve::LsiService> service =
       live != nullptr ? std::make_unique<lsi::serve::LsiService>(
                             *live, service_options)
@@ -469,8 +465,9 @@ int CommandServe(int argc, char** argv) {
   lsi::serve::ServerOptions server_options;
   server_options.port = static_cast<int>(port);
   server_options.host = host;
-  // Connection workers are I/O-bound; the engine work fans out across
-  // the lsi::par pool regardless, so a small multiple of it suffices.
+  // Each connection worker runs its requests' engine calls itself, and
+  // every call fans out across the lsi::par pool, so a worker per pool
+  // thread (at least 4, for connections idling on I/O) suffices.
   server_options.threads = std::max<std::size_t>(4, lsi::par::Threads());
   server_options.deadline = std::chrono::milliseconds(deadline_ms);
   lsi::serve::HttpServer server(
