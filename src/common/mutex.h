@@ -123,9 +123,9 @@ class LSI_SCOPED_CAPABILITY MutexLock {
 ///
 /// The deadlock detector mirrors the real semantics: the waited-on
 /// mutex leaves the holder's stack while blocked and its re-acquire is
-/// re-checked on wakeup, so waiting while holding only that mutex never
-/// reports, while waiting with later-acquired locks still held is
-/// re-examined — that ordering hazard is real.
+/// checked as the wait begins, so waiting while holding only that mutex
+/// never reports, while waiting with later-acquired locks still held is
+/// reported before the wait — that ordering hazard is real.
 class CondVar {
  public:
   CondVar() = default;
@@ -135,7 +135,9 @@ class CondVar {
   void Wait(MutexLock& lock, const std::source_location& loc =
                                  std::source_location::current()) {
     const bool tracked = dbg::DeadlockDetectEnabled();
-    if (tracked) dbg::OnCondVarWaitBegin(&lock.mutex());
+    if (tracked) {
+      dbg::OnCondVarWaitBegin(lock.mutex().rank(), &lock.mutex(), loc);
+    }
     cv_.wait(lock.native_lock());
     if (tracked) {
       dbg::OnCondVarWaitEnd(lock.mutex().rank(), &lock.mutex(), loc);
@@ -148,7 +150,9 @@ class CondVar {
       const std::chrono::time_point<Clock, Duration>& deadline,
       const std::source_location& loc = std::source_location::current()) {
     const bool tracked = dbg::DeadlockDetectEnabled();
-    if (tracked) dbg::OnCondVarWaitBegin(&lock.mutex());
+    if (tracked) {
+      dbg::OnCondVarWaitBegin(lock.mutex().rank(), &lock.mutex(), loc);
+    }
     const std::cv_status status =
         cv_.wait_until(lock.native_lock(), deadline);
     if (tracked) {
@@ -163,7 +167,9 @@ class CondVar {
                          const std::source_location& loc =
                              std::source_location::current()) {
     const bool tracked = dbg::DeadlockDetectEnabled();
-    if (tracked) dbg::OnCondVarWaitBegin(&lock.mutex());
+    if (tracked) {
+      dbg::OnCondVarWaitBegin(lock.mutex().rank(), &lock.mutex(), loc);
+    }
     const std::cv_status status = cv_.wait_for(lock.native_lock(), timeout);
     if (tracked) {
       dbg::OnCondVarWaitEnd(lock.mutex().rank(), &lock.mutex(), loc);

@@ -81,9 +81,10 @@ uint64_t ViolationCount() {
   return g_violations.load(std::memory_order_relaxed);
 }
 
-void OnAcquire(const LockRankInfo* info, const void* mutex,
-               const std::source_location& loc) {
-  if (info == nullptr) return;
+namespace {
+
+/// Reports every held lock whose rank is not strictly below `info`'s.
+void CheckAcquire(const LockRankInfo* info, const std::source_location& loc) {
   for (const HeldLock& held : t_held) {
     if (held.info->rank < info->rank) continue;
     ReportViolation(
@@ -94,6 +95,14 @@ void OnAcquire(const LockRankInfo* info, const void* mutex,
         "\n  acquiring: " + DescribeLock(info) + " at " + FormatSite(loc) +
         "\nlock ranks are documented in src/common/lock_ranks.h");
   }
+}
+
+}  // namespace
+
+void OnAcquire(const LockRankInfo* info, const void* mutex,
+               const std::source_location& loc) {
+  if (info == nullptr) return;
+  CheckAcquire(info, loc);
   t_held.push_back(HeldLock{info, mutex, loc});
 }
 
@@ -114,11 +123,15 @@ void OnRelease(const void* mutex) {
   // was pushed, nothing to pop.
 }
 
-void OnCondVarWaitBegin(const void* mutex) { OnRelease(mutex); }
+void OnCondVarWaitBegin(const LockRankInfo* info, const void* mutex,
+                        const std::source_location& loc) {
+  OnRelease(mutex);
+  if (info != nullptr) CheckAcquire(info, loc);
+}
 
 void OnCondVarWaitEnd(const LockRankInfo* info, const void* mutex,
                       const std::source_location& loc) {
-  OnAcquire(info, mutex, loc);
+  OnTryAcquire(info, mutex, loc);
 }
 
 }  // namespace lsi::dbg

@@ -95,12 +95,15 @@ void OnTryAcquire(const LockRankInfo* info, const void* mutex,
                   const std::source_location& loc);
 void OnRelease(const void* mutex);
 /// CondVar wait: the mutex is released while blocked, so its held
-/// entry is popped before the wait...
-void OnCondVarWaitBegin(const void* mutex);
-/// ...and re-pushed (with the full rank re-check) once the wait
-/// returns. Waiting while holding only the waited-on mutex therefore
-/// never reports; waiting while holding locks acquired *after* it
-/// re-checks the re-acquire against them, which is exactly the hazard.
+/// entry is popped, and the re-acquire the wakeup will make is checked
+/// against the locks still held — before the wait, so the hazard is
+/// reported without ever being taken. Waiting while holding only the
+/// waited-on mutex therefore never reports; waiting while holding locks
+/// acquired *after* it is exactly the hazard. The held set cannot change
+/// while the thread is blocked, so the wakeup re-pushes the entry
+/// without a second check.
+void OnCondVarWaitBegin(const LockRankInfo* info, const void* mutex,
+                        const std::source_location& loc);
 void OnCondVarWaitEnd(const LockRankInfo* info, const void* mutex,
                       const std::source_location& loc);
 

@@ -10,8 +10,8 @@
 namespace lsi::linalg {
 namespace {
 
-/// Two passes of classical Gram-Schmidt against the collected basis.
-/// `reorth_passes` accumulates telemetry.
+/// Two passes of modified Gram-Schmidt (each projection uses the running
+/// w) against the collected basis. `reorth_passes` accumulates telemetry.
 void Reorthogonalize(const std::vector<DenseVector>& basis, DenseVector& w,
                      std::size_t& reorth_passes) {
   for (int pass = 0; pass < 2; ++pass) {

@@ -4,12 +4,19 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "linalg/eigen.h"
+#include "linalg/simd/simd.h"
 #include "linalg/svd.h"
 #include "linalg/svd_telemetry.h"
+#include "par/parallel_for.h"
 
 namespace lsi::linalg {
 namespace {
+
+// Rows of the Ritz block Y = Q Z_k per parallel chunk: a 64 x k block of
+// Y stays in cache while the whole basis streams past it.
+constexpr std::size_t kRitzRowGrain = 64;
 
 /// Runs symmetric Lanczos with full reorthogonalization on the (implicitly
 /// PSD) operator `g`, returning the Lanczos basis Q (columns), and the
@@ -19,10 +26,13 @@ struct LanczosBasis {
   std::vector<double> alpha;
   std::vector<double> beta;  // beta[j] couples q[j] and q[j+1].
   std::size_t reorth_passes = 0;
+  CumulativeTimer apply;   // Gram-operator applications.
+  CumulativeTimer reorth;  // Reorthogonalize calls.
 };
 
-/// Full (two-pass classical Gram-Schmidt) reorthogonalization of w against
-/// the basis vectors collected so far.
+/// Full reorthogonalization of w against the basis vectors collected so
+/// far: modified Gram-Schmidt (each projection uses the running w), run
+/// twice.
 void Reorthogonalize(const std::vector<DenseVector>& basis, DenseVector& w) {
   for (int pass = 0; pass < 2; ++pass) {
     for (const DenseVector& q : basis) {
@@ -43,12 +53,16 @@ LanczosBasis RunLanczos(const LinearOperator& g, std::size_t steps,
   basis.q.push_back(q);
 
   for (std::size_t j = 0; j < steps; ++j) {
+    basis.apply.Start();
     DenseVector w = g.Apply(basis.q[j]);
+    basis.apply.Stop();
     double alpha = Dot(w, basis.q[j]);
     basis.alpha.push_back(alpha);
     w.Axpy(-alpha, basis.q[j]);
     if (j > 0) w.Axpy(-basis.beta[j - 1], basis.q[j - 1]);
+    basis.reorth.Start();
     Reorthogonalize(basis.q, w);
+    basis.reorth.Stop();
     basis.reorth_passes += 2;
     double beta = w.Norm();
     if (j + 1 == steps) break;  // The last beta is not needed.
@@ -60,7 +74,9 @@ LanczosBasis RunLanczos(const LinearOperator& g, std::size_t steps,
       }
       DenseVector fresh(dim);
       for (std::size_t i = 0; i < dim; ++i) fresh[i] = rng.NextGaussian();
+      basis.reorth.Start();
       Reorthogonalize(basis.q, fresh);
+      basis.reorth.Stop();
       basis.reorth_passes += 2;
       double norm = fresh.Normalize();
       if (norm <= tolerance) break;
@@ -73,6 +89,48 @@ LanczosBasis RunLanczos(const LinearOperator& g, std::size_t steps,
     basis.q.push_back(w);
   }
   return basis;
+}
+
+/// The Ritz block Y = Q Z_k (dim x k) from the first t basis vectors and
+/// the top-k columns of the tridiagonal eigenvectors z (t x t). Each row
+/// of Y sums its basis entries in basis order; rows are disjoint chunks,
+/// so Y is bit-identical at every thread count.
+DenseMatrix RitzVectors(const std::vector<DenseVector>& q, std::size_t t,
+                        const DenseMatrix& z, std::size_t k) {
+  DenseMatrix y(q[0].size(), k, 0.0);
+  par::ParallelFor(0, y.rows(), kRitzRowGrain,
+                   [&](std::size_t row_begin, std::size_t row_end) {
+                     for (std::size_t j = 0; j < t; ++j) {
+                       const double* qj = q[j].data();
+                       const double* zj = z.RowPtr(j);
+                       for (std::size_t r = row_begin; r < row_end; ++r) {
+                         simd::Axpy(y.RowPtr(r), qj[r], zj, k);
+                       }
+                     }
+                   });
+  return y;
+}
+
+/// Scales each column of m to unit length (a zero column stays zero).
+/// Given `sigma`, a column whose singular value is 0 has no partner
+/// vector and is set to exactly zero instead. Norms sum the rows in
+/// order, serially.
+void NormalizeColumns(DenseMatrix& m, const DenseVector* sigma = nullptr) {
+  const std::size_t k = m.cols();
+  std::vector<double> scale(k, 0.0);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const double* row = m.RowPtr(r);
+    for (std::size_t i = 0; i < k; ++i) scale[i] += row[i] * row[i];
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    const double norm = std::sqrt(scale[i]);
+    const bool partnerless = sigma != nullptr && (*sigma)[i] == 0.0;
+    scale[i] = partnerless ? 0.0 : (norm > 0.0 ? 1.0 / norm : 1.0);
+  }
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    double* row = m.RowPtr(r);
+    for (std::size_t i = 0; i < k; ++i) row[i] *= scale[i];
+  }
 }
 
 }  // namespace
@@ -118,56 +176,46 @@ Result<SvdResult> LanczosSvd(const LinearOperator& a, std::size_t k,
         "LanczosSvd: Lanczos terminated before reaching k directions");
   }
 
+  Timer tridiag_timer;
   std::vector<double> sub(basis.beta.begin(),
                           basis.beta.begin() + static_cast<std::ptrdiff_t>(t - 1));
   auto eig = TridiagonalEigen(basis.alpha, sub);
   if (!eig.ok()) return eig.status();
   const SymmetricEigenResult& tri = eig.value();
+  const double tridiag_ms = tridiag_timer.ElapsedMillis();
 
+  // Ritz step: the Gram side's singular vectors are Y = Q Z_k; the other
+  // side is one block product (A^T U for the outer Gram, A V for the
+  // Gram), normalized per column. A column with sigma = 0 has no
+  // defined partner and stays exactly zero.
+  Timer ritz_timer;
   SvdResult out;
   out.singular_values = DenseVector(k);
-  out.u = DenseMatrix(n, k, 0.0);
-  out.v = DenseMatrix(m, k, 0.0);
-
   for (std::size_t i = 0; i < k; ++i) {
-    double lambda = std::max(tri.eigenvalues[i], 0.0);
-    double sigma = std::sqrt(lambda);
-    out.singular_values[i] = sigma;
-
-    // Ritz vector in the Gram space: y = Q * z_i.
-    DenseVector y(dim, 0.0);
-    for (std::size_t j = 0; j < t; ++j) {
-      double zji = tri.eigenvectors(j, i);
-      if (zji != 0.0) y.Axpy(zji, basis.q[j]);
-    }
-    y.Normalize();
-
-    if (use_outer) {
-      // y is a left singular vector; v = A^T u / sigma.
-      for (std::size_t r = 0; r < n; ++r) out.u(r, i) = y[r];
-      if (sigma > 0.0) {
-        DenseVector vcol = counted.ApplyTranspose(y);
-        vcol.Scale(1.0 / sigma);
-        vcol.Normalize();
-        for (std::size_t r = 0; r < m; ++r) out.v(r, i) = vcol[r];
-      }
-    } else {
-      // y is a right singular vector; u = A v / sigma.
-      for (std::size_t r = 0; r < m; ++r) out.v(r, i) = y[r];
-      if (sigma > 0.0) {
-        DenseVector ucol = counted.Apply(y);
-        ucol.Scale(1.0 / sigma);
-        ucol.Normalize();
-        for (std::size_t r = 0; r < n; ++r) out.u(r, i) = ucol[r];
-      }
-    }
+    out.singular_values[i] = std::sqrt(std::max(tri.eigenvalues[i], 0.0));
   }
+  DenseMatrix y = RitzVectors(basis.q, t, tri.eigenvectors, k);
+  NormalizeColumns(y);
+  if (use_outer) {
+    out.v = counted.ApplyTransposeBlock(y);
+    out.u = std::move(y);
+    NormalizeColumns(out.v, &out.singular_values);
+  } else {
+    out.u = counted.ApplyBlock(y);
+    out.v = std::move(y);
+    NormalizeColumns(out.u, &out.singular_values);
+  }
+  const double ritz_ms = ritz_timer.ElapsedMillis();
 
   obs::SolverStats stats;
   stats.solver = "lanczos";
   stats.iterations = t;
   stats.reorth_passes = basis.reorth_passes;
   stats.matvecs = counted.matvecs();
+  stats.apply_ms = basis.apply.TotalMillis();
+  stats.reorth_ms = basis.reorth.TotalMillis();
+  stats.tridiag_ms = tridiag_ms;
+  stats.ritz_ms = ritz_ms;
   internal::FinishSolverStats(a, out, std::move(stats), options.stats);
   return out;
 }

@@ -345,41 +345,23 @@ Result<SparseMatrix> LoadSparseMatrix(const std::string& path) {
     return Status::InvalidArgument(
         "sparse matrix payload larger than the file holding it");
   }
-  // Reconstruct via triplets: slightly more work than copying the CSR
-  // arrays directly but reuses the validated assembly path.
-  std::vector<std::uint64_t> offsets(rows + 1);
+  // FromCsr adopts the arrays and rejects offsets or column indices a
+  // corrupt file could carry.
+  std::vector<std::size_t> offsets(rows + 1);
   for (auto& offset : offsets) {
     LSI_ASSIGN_OR_RETURN(offset, reader.ReadU64());
   }
-  if (offsets[0] != 0 || offsets[rows] != nnz) {
-    return Status::InvalidArgument("sparse matrix offsets corrupt");
-  }
-  std::vector<std::uint64_t> col_indices(nnz);
+  std::vector<std::size_t> col_indices(nnz);
   for (auto& index : col_indices) {
     LSI_ASSIGN_OR_RETURN(index, reader.ReadU64());
   }
   std::vector<double> values(nnz);
   LSI_RETURN_IF_ERROR(reader.ReadDoubles(values.data(), nnz));
   LSI_RETURN_IF_ERROR(reader.EndSection());
-
-  std::vector<Triplet> triplets;
-  triplets.reserve(nnz);
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (offsets[r] > offsets[r + 1] || offsets[r + 1] > nnz) {
-      return Status::InvalidArgument("sparse matrix offsets corrupt");
-    }
-    for (std::uint64_t p = offsets[r]; p < offsets[r + 1]; ++p) {
-      if (col_indices[p] >= cols) {
-        return Status::InvalidArgument("sparse matrix column index corrupt");
-      }
-      triplets.push_back({static_cast<std::size_t>(r),
-                          static_cast<std::size_t>(col_indices[p]),
-                          values[p]});
-    }
-  }
-  return SparseMatrix::FromTriplets(static_cast<std::size_t>(rows),
-                                    static_cast<std::size_t>(cols),
-                                    std::move(triplets));
+  return SparseMatrix::FromCsr(static_cast<std::size_t>(rows),
+                               static_cast<std::size_t>(cols),
+                               std::move(offsets), std::move(col_indices),
+                               std::move(values));
 }
 
 }  // namespace lsi::linalg

@@ -15,7 +15,9 @@ namespace lsi::linalg {
 /// Iterative solvers (Lanczos, power iteration, randomized range finding)
 /// only need matrix-vector products, so they are written against this
 /// interface and work identically for dense, sparse, and implicit
-/// (e.g. Gram) matrices.
+/// (e.g. Gram) matrices. Block products apply the operator to every
+/// column of a dense matrix; operators with a faster blocked kernel
+/// override them.
 class LinearOperator {
  public:
   virtual ~LinearOperator() = default;
@@ -28,6 +30,16 @@ class LinearOperator {
 
   /// Returns A^T * x. Requires x.size() == rows().
   virtual DenseVector ApplyTranspose(const DenseVector& x) const = 0;
+
+  /// Returns A * X. Requires x.rows() == cols(). The default applies
+  /// Apply to each column, in parallel over columns (a parallel kernel
+  /// nested inside Apply runs serially there), so it is bit-identical at
+  /// every thread count.
+  virtual DenseMatrix ApplyBlock(const DenseMatrix& x) const;
+
+  /// Returns A^T * X. Requires x.rows() == rows(). Same default column
+  /// loop over ApplyTranspose.
+  virtual DenseMatrix ApplyTransposeBlock(const DenseMatrix& x) const;
 };
 
 /// LinearOperator view over a DenseMatrix (not owned).
@@ -61,6 +73,12 @@ class SparseOperator final : public LinearOperator {
   DenseVector ApplyTranspose(const DenseVector& x) const override {
     return matrix_.MultiplyTranspose(x);
   }
+  DenseMatrix ApplyBlock(const DenseMatrix& x) const override {
+    return matrix_.MultiplyDense(x);
+  }
+  DenseMatrix ApplyTransposeBlock(const DenseMatrix& x) const override {
+    return matrix_.MultiplyTransposeDense(x);
+  }
 
  private:
   const SparseMatrix& matrix_;
@@ -79,6 +97,12 @@ class TransposedOperator final : public LinearOperator {
   DenseVector ApplyTranspose(const DenseVector& x) const override {
     return base_.Apply(x);
   }
+  DenseMatrix ApplyBlock(const DenseMatrix& x) const override {
+    return base_.ApplyTransposeBlock(x);
+  }
+  DenseMatrix ApplyTransposeBlock(const DenseMatrix& x) const override {
+    return base_.ApplyBlock(x);
+  }
 
  private:
   const LinearOperator& base_;
@@ -86,8 +110,9 @@ class TransposedOperator final : public LinearOperator {
 
 /// Counts matrix-vector products flowing through a base operator (not
 /// owned). The SVD backends wrap their input with this to report matvec
-/// telemetry; counts are relaxed atomics, so a shared operator can be
-/// applied from several threads.
+/// telemetry; a block product of b columns counts b products. Counts are
+/// relaxed atomics, so a shared operator can be applied from several
+/// threads.
 class CountingOperator final : public LinearOperator {
  public:
   explicit CountingOperator(const LinearOperator& base) : base_(base) {}
@@ -101,6 +126,14 @@ class CountingOperator final : public LinearOperator {
   DenseVector ApplyTranspose(const DenseVector& x) const override {
     transposes_.fetch_add(1, std::memory_order_relaxed);
     return base_.ApplyTranspose(x);
+  }
+  DenseMatrix ApplyBlock(const DenseMatrix& x) const override {
+    applies_.fetch_add(x.cols(), std::memory_order_relaxed);
+    return base_.ApplyBlock(x);
+  }
+  DenseMatrix ApplyTransposeBlock(const DenseMatrix& x) const override {
+    transposes_.fetch_add(x.cols(), std::memory_order_relaxed);
+    return base_.ApplyTransposeBlock(x);
   }
 
   std::size_t applies() const {

@@ -6,43 +6,8 @@
 #include "linalg/qr.h"
 #include "linalg/svd.h"
 #include "linalg/svd_telemetry.h"
-#include "par/parallel_for.h"
 
 namespace lsi::linalg {
-namespace {
-
-/// Applies `a` to each column of `x`: returns A * X as a dense matrix.
-/// Columns are independent and write disjoint output columns, so the
-/// block multiply parallelizes across them (one chunk per column; any
-/// parallel kernel nested inside a.Apply runs serially there). Results
-/// are bit-identical at every thread count.
-DenseMatrix ApplyToColumns(const LinearOperator& a, const DenseMatrix& x) {
-  DenseMatrix y(a.rows(), x.cols());
-  par::ParallelFor(0, x.cols(), 1,
-                   [&](std::size_t col_begin, std::size_t col_end) {
-                     for (std::size_t j = col_begin; j < col_end; ++j) {
-                       DenseVector col = a.Apply(x.Column(j));
-                       y.SetColumn(j, col);
-                     }
-                   });
-  return y;
-}
-
-/// Returns A^T * X as a dense matrix (column-parallel, see above).
-DenseMatrix ApplyTransposeToColumns(const LinearOperator& a,
-                                    const DenseMatrix& x) {
-  DenseMatrix y(a.cols(), x.cols());
-  par::ParallelFor(0, x.cols(), 1,
-                   [&](std::size_t col_begin, std::size_t col_end) {
-                     for (std::size_t j = col_begin; j < col_end; ++j) {
-                       DenseVector col = a.ApplyTranspose(x.Column(j));
-                       y.SetColumn(j, col);
-                     }
-                   });
-  return y;
-}
-
-}  // namespace
 
 Result<SvdResult> RandomizedSvd(const LinearOperator& a, std::size_t k,
                                 const RandomizedSvdOptions& options) {
@@ -70,20 +35,20 @@ Result<SvdResult> RandomizedSvd(const LinearOperator& a, std::size_t k,
 
   // Range sampling Y = A * Omega, with power iterations
   // Y <- A (A^T Y) and re-orthonormalization for stability.
-  DenseMatrix y = ApplyToColumns(counted, omega);
+  DenseMatrix y = counted.ApplyBlock(omega);
   LSI_ASSIGN_OR_RETURN(DenseMatrix q, Orthonormalize(y));
   ++reorth_passes;
   for (std::size_t it = 0; it < options.power_iterations; ++it) {
-    DenseMatrix z = ApplyTransposeToColumns(counted, q);
+    DenseMatrix z = counted.ApplyTransposeBlock(q);
     LSI_ASSIGN_OR_RETURN(DenseMatrix qz, Orthonormalize(z));
-    DenseMatrix y2 = ApplyToColumns(counted, qz);
+    DenseMatrix y2 = counted.ApplyBlock(qz);
     LSI_ASSIGN_OR_RETURN(q, Orthonormalize(y2));
     reorth_passes += 2;
   }
 
   // Project: B = Q^T A, computed as (A^T Q)^T, sized sample x m.
-  DenseMatrix at_q = ApplyTransposeToColumns(counted, q);  // m x sample
-  DenseMatrix b = at_q.Transposed();                 // sample x m
+  DenseMatrix at_q = counted.ApplyTransposeBlock(q);  // m x sample
+  DenseMatrix b = at_q.Transposed();                  // sample x m
 
   LSI_ASSIGN_OR_RETURN(SvdResult small, JacobiSvd(b));
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/result.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/dense_vector.h"
 
@@ -20,7 +21,7 @@ struct Triplet {
 ///
 /// This is the storage for term-document matrices: rows are terms,
 /// columns are documents, and a typical corpus has well under 1% density.
-/// Build one with SparseMatrixBuilder or FromTriplets.
+/// Build one with SparseMatrixBuilder, FromTriplets, or FromCsr.
 class SparseMatrix {
  public:
   /// Creates an empty rows x cols matrix (no nonzeros).
@@ -37,6 +38,15 @@ class SparseMatrix {
   static SparseMatrix FromTriplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets);
 
+  /// Adopts ready-made CSR arrays without sorting or copying them:
+  /// `row_offsets` holds rows + 1 nondecreasing entries from 0 to nnz,
+  /// and each row's column indices are strictly ascending and below
+  /// `cols`. Returns InvalidArgument when any of that does not hold.
+  static Result<SparseMatrix> FromCsr(std::size_t rows, std::size_t cols,
+                                      std::vector<std::size_t> row_offsets,
+                                      std::vector<std::size_t> col_indices,
+                                      std::vector<double> values);
+
   /// Converts a dense matrix, dropping entries with |a_ij| <= tolerance.
   static SparseMatrix FromDense(const DenseMatrix& dense,
                                 double tolerance = 0.0);
@@ -48,13 +58,18 @@ class SparseMatrix {
   /// y = A * x. Requires x.size() == cols().
   DenseVector Multiply(const DenseVector& x) const;
 
-  /// y = A^T * x. Requires x.size() == rows().
+  /// y = A^T * x. Requires x.size() == rows(). Rows split into at most
+  /// eight chunks, each scattering into one cols()-length partial; the
+  /// partials are summed in chunk order.
   DenseVector MultiplyTranspose(const DenseVector& x) const;
 
-  /// C = A * B (dense result). Requires b.rows() == cols().
+  /// C = A * B (dense result). Requires b.rows() == cols(). Each output
+  /// row gathers its B rows, in parallel over rows.
   DenseMatrix MultiplyDense(const DenseMatrix& b) const;
 
-  /// C = A^T * B (dense result). Requires b.rows() == rows().
+  /// C = A^T * B (dense result). Requires b.rows() == rows(). Work is
+  /// split by slices of output columns: each slice streams A once and
+  /// writes only its own columns of C, so no partial panel is built.
   DenseMatrix MultiplyTransposeDense(const DenseMatrix& b) const;
 
   /// Materializes the matrix densely. Intended for tests and small inputs.

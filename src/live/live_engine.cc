@@ -15,16 +15,39 @@ bool ContainsAny(const std::string& s, const char* chars) {
   return s.find_first_of(chars) != std::string::npos;
 }
 
-const char* OpCounterName(WalOp op) {
-  switch (op) {
-    case WalOp::kAdd:
-      return "lsi.live.adds";
-    case WalOp::kDelete:
-      return "lsi.live.deletes";
-    case WalOp::kUpdate:
-      return "lsi.live.updates";
+/// The metrics every acknowledged write touches, resolved once.
+struct WriteMetrics {
+  obs::Counter& publishes;
+  obs::Gauge& epoch;
+  obs::Gauge& drift_mean;
+  obs::Counter& adds;
+  obs::Counter& deletes;
+  obs::Counter& updates;
+
+  obs::Counter& OpCounter(WalOp op) const {
+    switch (op) {
+      case WalOp::kAdd:
+        return adds;
+      case WalOp::kDelete:
+        return deletes;
+      case WalOp::kUpdate:
+        break;
+    }
+    return updates;
   }
-  return "lsi.live.unknown_ops";
+};
+
+const WriteMetrics& Metrics() {
+  static const WriteMetrics metrics = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    return WriteMetrics{registry.GetCounter("lsi.live.publishes"),
+                        registry.GetGauge("lsi.live.epoch"),
+                        registry.GetGauge("lsi.live.drift_mean_radians"),
+                        registry.GetCounter("lsi.live.adds"),
+                        registry.GetCounter("lsi.live.deletes"),
+                        registry.GetCounter("lsi.live.updates")};
+  }();
+  return metrics;
 }
 
 }  // namespace
@@ -151,9 +174,8 @@ void LiveEngine::PublishLocked() {
   const std::uint64_t epoch =
       epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   ++publishes_;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("lsi.live.publishes").Increment();
-  registry.GetGauge("lsi.live.epoch").Set(static_cast<double>(epoch));
+  Metrics().publishes.Increment();
+  Metrics().epoch.Set(static_cast<double>(epoch));
 }
 
 Result<WriteReceipt> LiveEngine::ApplyLocked(const WalRecord& record) {
@@ -249,11 +271,10 @@ Result<WriteReceipt> LiveEngine::Write(WalOp op, const std::string& name,
   if (unpublished_ >= options_.publish_every) PublishLocked();
   receipt->epoch = epoch_.load(std::memory_order_acquire) +
                    (unpublished_ > 0 ? 1 : 0);
-  registry.GetCounter(OpCounterName(op)).Increment();
+  Metrics().OpCounter(op).Increment();
   MaybeAutoCompactLocked();
   if (drift_count_ > 0) {
-    registry.GetGauge("lsi.live.drift_mean_radians")
-        .Set(drift_sum_ / static_cast<double>(drift_count_));
+    Metrics().drift_mean.Set(drift_sum_ / static_cast<double>(drift_count_));
   }
   return receipt;
 }
@@ -459,10 +480,9 @@ Status LiveEngine::RunRefresh() {
   const std::uint64_t epoch =
       epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   registry.GetCounter("lsi.live.refreshes").Increment();
-  registry.GetGauge("lsi.live.epoch").Set(static_cast<double>(epoch));
-  registry.GetGauge("lsi.live.drift_mean_radians")
-      .Set(drift_count > 0 ? drift_sum / static_cast<double>(drift_count)
-                           : 0.0);
+  Metrics().epoch.Set(static_cast<double>(epoch));
+  Metrics().drift_mean.Set(
+      drift_count > 0 ? drift_sum / static_cast<double>(drift_count) : 0.0);
   return Status::OK();
 }
 

@@ -37,9 +37,22 @@ struct SolverStats {
   /// (relative_residual <= 1e-6).
   bool converged = false;
 
+  /// Wall time of the solve's stages, for backends that time them
+  /// (Lanczos): operator applications, reorthogonalization, the small
+  /// tridiagonal eigensolve, and the Ritz step that forms U and V.
+  /// A few clock reads per step.
+  double apply_ms = 0.0;
+  double reorth_ms = 0.0;
+  double tridiag_ms = 0.0;
+  double ritz_ms = 0.0;
+
   /// Adds this solve to the global registry:
   ///   counters lsi.svd.<solver>.{solves,iterations,reorth_passes,matvecs}
   ///   gauges   lsi.svd.<solver>.{residual,relative_residual,converged}
+  /// and, when the backend timed its stages, the cumulative millisecond
+  /// totals lsi.svd.<solver>.{apply,reorth,tridiag,ritz}_ms. Those only
+  /// ever grow, like lsi.par.wait_ms; they are gauges because counters
+  /// hold integers.
   void Publish() const;
 };
 

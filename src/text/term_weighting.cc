@@ -72,29 +72,48 @@ Result<linalg::SparseMatrix> BuildTermDocumentMatrix(
   }
   const std::size_t n = corpus.NumTerms();
   const std::size_t m = corpus.NumDocuments();
-  GlobalStats stats = ComputeGlobalStats(corpus);
+  const std::vector<double> global =
+      ComputeGlobalWeights(corpus, options.scheme);
 
-  linalg::SparseMatrixBuilder builder(n, m);
-  for (std::size_t d = 0; d < m; ++d) {
-    // Collect the column first so it can optionally be normalized.
-    std::vector<std::pair<TermId, double>> column;
-    double norm_sq = 0.0;
+  // One document's nonzero (term, weight) entries, in term order.
+  std::vector<std::pair<TermId, double>> column;
+  auto weigh_column = [&](std::size_t d) {
+    column.clear();
     for (const auto& [term, count] : corpus.document(d).counts()) {
-      double w = LocalTermWeight(options.scheme, count) *
-                 GlobalWeight(options.scheme, corpus, stats, term);
-      if (w == 0.0) continue;
-      column.emplace_back(term, w);
-      norm_sq += w * w;
+      double w = LocalTermWeight(options.scheme, count) * global[term];
+      if (w != 0.0) column.emplace_back(term, w);
     }
+  };
+
+  // CSR straight from the documents: count each term's entries, take the
+  // prefix sum, then place entries walking the documents in order. Each
+  // document's counts() are term-sorted and unique, so every row's
+  // columns come out strictly ascending with no sort.
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (std::size_t d = 0; d < m; ++d) {
+    weigh_column(d);
+    for (const auto& entry : column) ++offsets[entry.first + 1];
+  }
+  for (std::size_t t = 0; t < n; ++t) offsets[t + 1] += offsets[t];
+  std::vector<std::size_t> cols(offsets[n]);
+  std::vector<double> values(offsets[n]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t d = 0; d < m; ++d) {
+    weigh_column(d);
+    double norm_sq = 0.0;
+    for (const auto& entry : column) norm_sq += entry.second * entry.second;
     double scale = 1.0;
     if (options.normalize_columns && norm_sq > 0.0) {
       scale = 1.0 / std::sqrt(norm_sq);
     }
     for (const auto& [term, w] : column) {
-      builder.Add(term, d, w * scale);
+      const std::size_t p = cursor[term]++;
+      cols[p] = d;
+      values[p] = w * scale;
     }
   }
-  return builder.Build();
+  return linalg::SparseMatrix::FromCsr(n, m, std::move(offsets),
+                                       std::move(cols), std::move(values));
 }
 
 double LocalTermWeight(WeightingScheme scheme, std::size_t count) {

@@ -82,6 +82,40 @@ TEST(EngineStatsTest, BuildRecordsSolverTelemetryAndStageSpans) {
             SpanValue("engine.build").total_seconds);
 }
 
+TEST(EngineStatsTest, BuildRecordsLanczosStageTimes) {
+  obs::MetricsRegistry::Global().Reset();
+  obs::SpanRegistry::Global().Reset();
+
+  LsiEngineOptions options;
+  options.rank = 3;
+  options.solver = SvdSolver::kLanczos;
+  auto engine = LsiEngine::Build(ThreeTopicCorpus(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  // Every stage of the solve advances its cumulative millisecond total,
+  // and the stages together fit inside the build's wall time.
+  double stages_ms = 0.0;
+  for (const char* name :
+       {"lsi.svd.lanczos.apply_ms", "lsi.svd.lanczos.reorth_ms",
+        "lsi.svd.lanczos.tridiag_ms", "lsi.svd.lanczos.ritz_ms"}) {
+    const double ms = obs::MetricsRegistry::Global().GetGauge(name).value();
+    EXPECT_GT(ms, 0.0) << name;
+    stages_ms += ms;
+  }
+  EXPECT_LE(stages_ms, SpanValue("engine.build").total_seconds * 1e3);
+
+  // A second build adds to the totals rather than replacing them.
+  const double apply_before =
+      obs::MetricsRegistry::Global().GetGauge("lsi.svd.lanczos.apply_ms")
+          .value();
+  auto again = LsiEngine::Build(ThreeTopicCorpus(), options);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_GT(
+      obs::MetricsRegistry::Global().GetGauge("lsi.svd.lanczos.apply_ms")
+          .value(),
+      apply_before);
+}
+
 TEST(EngineStatsTest, QueryRecordsSpansAndLatencyHistogram) {
   obs::MetricsRegistry::Global().Reset();
   obs::SpanRegistry::Global().Reset();

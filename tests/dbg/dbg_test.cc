@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,13 @@
 //    never races live threads.
 //  * Multi-threaded cases install a violation handler instead — a
 //    death test around real threads would be fork-unsafe under TSan.
+//  * No test takes a real lock-order cycle: the rank check flags the
+//    potential one, so the suite runs clean under TSan, whose own
+//    lock-order detector would report a real cycle. Tests that nest
+//    locks outside a death test use heap-allocated mutexes (NewMutex):
+//    TSan keys lock history by address and drops it when a heap block
+//    is freed, while stack mutexes that reuse an address would merge
+//    one test's lock order into another's.
 
 namespace lsi::dbg {
 namespace {
@@ -52,6 +60,10 @@ class HandlerScope {
  private:
   ViolationHandler previous_;
 };
+
+std::unique_ptr<Mutex> NewMutex(const LockRankInfo* rank) {
+  return std::make_unique<Mutex>(rank);
+}
 
 bool AnyViolationContains(const std::string& kind,
                           const std::string& needle) {
@@ -118,13 +130,13 @@ TEST(LockOrderDeathTest, RecursiveAcquireOfOneClassAborts) {
 
 TEST(LockOrderTest, EqualRankDifferentClassesIsRankInversion) {
   HandlerScope scope;
-  Mutex first{LSI_LOCK_RANK("test.dbg.eq_first", 56)};
-  Mutex second{LSI_LOCK_RANK("test.dbg.eq_second", 56)};
+  auto first = NewMutex(LSI_LOCK_RANK("test.dbg.eq_first", 56));
+  auto second = NewMutex(LSI_LOCK_RANK("test.dbg.eq_second", 56));
   // Distinct classes of one rank have no defined order, so nesting
   // them in either direction is reported; the rule is strict.
   {
-    MutexLock hold_first(first);
-    MutexLock hold_second(second);
+    MutexLock hold_first(*first);
+    MutexLock hold_second(*second);
   }
   EXPECT_TRUE(AnyViolationContains("rank-inversion", "test.dbg.eq_second"));
   EXPECT_TRUE(AnyViolationContains("rank-inversion", "test.dbg.eq_first"));
@@ -132,26 +144,34 @@ TEST(LockOrderTest, EqualRankDifferentClassesIsRankInversion) {
 
 TEST(LockOrderTest, ThreeThreadCycleDetectedAcrossThreads) {
   HandlerScope scope;
-  Mutex x{LSI_LOCK_RANK("test.dbg.tri_x", 60)};
-  Mutex y{LSI_LOCK_RANK("test.dbg.tri_y", 61)};
-  Mutex z{LSI_LOCK_RANK("test.dbg.tri_z", 62)};
+  auto new_x = [] { return NewMutex(LSI_LOCK_RANK("test.dbg.tri_x", 60)); };
+  auto new_y = [] { return NewMutex(LSI_LOCK_RANK("test.dbg.tri_y", 61)); };
+  auto new_z = [] { return NewMutex(LSI_LOCK_RANK("test.dbg.tri_z", 62)); };
   // Three threads each take a pair; only the union of their orders is
-  // cyclic. Ranks are distinct, so the cycle must descend somewhere
-  // (z -> x here) and the thread taking that edge is reported. Threads
-  // run sequentially — a real interleaving is not required.
+  // cyclic over the classes x -> y -> z -> x. Each thread locks its own
+  // instances, so no instance-level cycle is ever taken. Ranks are
+  // distinct, so the class cycle must descend somewhere (z -> x here)
+  // and the thread taking that edge is reported. Threads run
+  // sequentially — a real interleaving is not required.
   std::thread([&] {
-    MutexLock hold_x(x);
-    MutexLock hold_y(y);
+    auto x = new_x();
+    auto y = new_y();
+    MutexLock hold_x(*x);
+    MutexLock hold_y(*y);
   }).join();
   EXPECT_TRUE(RecordedViolations::All().empty());
   std::thread([&] {
-    MutexLock hold_y(y);
-    MutexLock hold_z(z);
+    auto y = new_y();
+    auto z = new_z();
+    MutexLock hold_y(*y);
+    MutexLock hold_z(*z);
   }).join();
   EXPECT_TRUE(RecordedViolations::All().empty());
   std::thread([&] {
-    MutexLock hold_z(z);
-    MutexLock hold_x(x);  // Closes x -> y -> z -> x.
+    auto z = new_z();
+    auto x = new_x();
+    MutexLock hold_z(*z);
+    MutexLock hold_x(*x);  // Closes x -> y -> z -> x over the classes.
   }).join();
   EXPECT_TRUE(AnyViolationContains("rank-inversion", "test.dbg.tri_x"));
   EXPECT_TRUE(AnyViolationContains("rank-inversion", "test.dbg.tri_z"));
@@ -159,75 +179,84 @@ TEST(LockOrderTest, ThreeThreadCycleDetectedAcrossThreads) {
 
 TEST(LockOrderTest, OrderedNestingRecordsEdgesWithoutViolations) {
   HandlerScope scope;
-  Mutex low{LSI_LOCK_RANK("test.dbg.nest_low", 50)};
-  Mutex high{LSI_LOCK_RANK("test.dbg.nest_high", 62)};
+  auto low = NewMutex(LSI_LOCK_RANK("test.dbg.nest_low", 50));
+  auto high = NewMutex(LSI_LOCK_RANK("test.dbg.nest_high", 62));
   {
-    MutexLock hold_low(low);
-    MutexLock hold_high(high);
+    MutexLock hold_low(*low);
+    MutexLock hold_high(*high);
   }
   EXPECT_TRUE(RecordedViolations::All().empty());
 }
 
 TEST(LockOrderTest, CondVarWaitReacquireDoesNotFalsePositive) {
   HandlerScope scope;
-  Mutex mu{LSI_LOCK_RANK("test.dbg.cv_mu", 50)};
+  auto mu = NewMutex(LSI_LOCK_RANK("test.dbg.cv_mu", 50));
   CondVar cv;
   std::atomic<bool> ready{false};
   // Waiter blocks holding only mu; the wait drops mu from its held
-  // stack and the wakeup re-checks the re-acquire. Neither direction
+  // stack and checks its re-acquire against nothing. Neither direction
   // may report: this is the refresher/prober idiom.
   std::thread waiter([&] {
-    MutexLock lock(mu);
+    MutexLock lock(*mu);
     while (!ready.load()) cv.WaitFor(lock, std::chrono::milliseconds(5));
   });
   {
-    MutexLock lock(mu);
+    MutexLock lock(*mu);
     ready.store(true);
   }
   cv.NotifyAll();
   waiter.join();
   // Timeout path of WaitFor, same thread, plus a plain Wait wakeup.
   {
-    MutexLock lock(mu);
+    MutexLock lock(*mu);
     (void)cv.WaitFor(lock, std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(RecordedViolations::All().empty());
 }
 
 TEST(LockOrderTest, CondVarWaitHoldingLaterLockIsReported) {
-  HandlerScope scope;
-  Mutex cv_mu{LSI_LOCK_RANK("test.dbg.cvh_mu", 50)};
-  Mutex later{LSI_LOCK_RANK("test.dbg.cvh_later", 62)};
-  CondVar cv;
-  {
-    MutexLock lock(cv_mu);
-    MutexLock hold_later(later);
-    // Waiting re-acquires cv_mu (rank 50) while still holding the
-    // later lock (rank 62): a real ordering hazard, flagged on wakeup.
-    (void)cv.WaitFor(lock, std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(AnyViolationContains("rank-inversion", "test.dbg.cvh_mu"));
+  // Waiting on cv_mu (rank 50) while still holding the later lock
+  // (rank 62) means the wakeup re-acquires cv_mu under it: a real
+  // ordering hazard. The detector reports it as the wait begins, so the
+  // child aborts before the re-acquire is ever taken. The threadsafe
+  // style re-executes the binary for the child instead of forking a
+  // process that has already run threads.
+  const std::string style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SetDeadlockDetectForTest(true);
+        Mutex cv_mu{LSI_LOCK_RANK("test.dbg.cvh_mu", 50)};
+        Mutex later{LSI_LOCK_RANK("test.dbg.cvh_later", 62)};
+        CondVar cv;
+        MutexLock lock(cv_mu);
+        MutexLock hold_later(later);
+        (void)cv.WaitFor(lock, std::chrono::milliseconds(1));
+      },
+      "rank inversion.*test\\.dbg\\.cvh_mu.*test\\.dbg\\.cvh_later"
+      "(.|\n)*acquiring:.*dbg_test\\.cc");
+  ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(LockOrderTest, TryLockPushesWithoutOrderingCommitment) {
   HandlerScope scope;
-  Mutex high{LSI_LOCK_RANK("test.dbg.try_high", 62)};
-  Mutex low{LSI_LOCK_RANK("test.dbg.try_low", 50)};
-  high.Lock();
+  auto high = NewMutex(LSI_LOCK_RANK("test.dbg.try_high", 62));
+  auto low = NewMutex(LSI_LOCK_RANK("test.dbg.try_low", 50));
+  high->Lock();
   // try-then-back-off against the rank order cannot deadlock and must
   // not report.
-  ASSERT_TRUE(low.TryLock());
-  low.Unlock();
-  high.Unlock();
+  ASSERT_TRUE(low->TryLock());
+  low->Unlock();
+  high->Unlock();
   EXPECT_TRUE(RecordedViolations::All().empty());
 }
 
 TEST(LockOrderTest, UnrankedMutexesAreIgnored) {
   HandlerScope scope;
-  Mutex plain_a;
-  Mutex plain_b;
-  MutexLock hold_a(plain_a);
-  MutexLock hold_b(plain_b);
+  auto plain_a = NewMutex(nullptr);
+  auto plain_b = NewMutex(nullptr);
+  MutexLock hold_a(*plain_a);
+  MutexLock hold_b(*plain_b);
   EXPECT_TRUE(RecordedViolations::All().empty());
 }
 

@@ -104,6 +104,47 @@ TEST(SparseMatrixTest, MultiplyTransposeDenseMatchesDense) {
             1e-12);
 }
 
+TEST(SparseMatrixTest, MultiplyTransposeDenseSpansSeveralColumnSlices) {
+  // 101 columns: two column slices of 51 and 50.
+  Rng rng(108);
+  DenseMatrix d = testing::RandomMatrix(9, 5, rng);
+  d(3, 2) = 0.0;
+  DenseMatrix b = testing::RandomMatrix(9, 101, rng);
+  SparseMatrix s = SparseMatrix::FromDense(d);
+  EXPECT_LT(MaxAbsDiff(s.MultiplyTransposeDense(b), MultiplyAtB(d, b)),
+            1e-12);
+}
+
+TEST(SparseMatrixTest, FromCsrAdoptsValidArrays) {
+  auto m = SparseMatrix::FromCsr(2, 3, {0, 2, 3}, {0, 2, 1}, {1.0, 2.0, 3.0});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  SparseMatrix expected = SmallExample();
+  EXPECT_EQ(m->row_offsets(), expected.row_offsets());
+  EXPECT_EQ(m->col_indices(), expected.col_indices());
+  EXPECT_EQ(m->values(), expected.values());
+}
+
+TEST(SparseMatrixTest, FromCsrRejectsMalformedArrays) {
+  // Offsets of the wrong length, not starting at 0, or not ending at nnz.
+  EXPECT_FALSE(SparseMatrix::FromCsr(2, 3, {0, 1}, {0}, {1.0}).ok());
+  EXPECT_FALSE(SparseMatrix::FromCsr(2, 3, {1, 1, 1}, {0}, {1.0}).ok());
+  EXPECT_FALSE(SparseMatrix::FromCsr(2, 3, {0, 1, 2}, {0}, {1.0}).ok());
+  // Values and indices disagree in length.
+  EXPECT_FALSE(SparseMatrix::FromCsr(2, 3, {0, 1, 1}, {0}, {1.0, 2.0}).ok());
+  // Decreasing offsets, also where an early row would overrun nnz.
+  EXPECT_FALSE(
+      SparseMatrix::FromCsr(2, 3, {0, 2, 1}, {0, 1}, {1.0, 2.0}).ok());
+  EXPECT_FALSE(SparseMatrix::FromCsr(2, 3, {0, 5, 1}, {0}, {1.0}).ok());
+  // Column out of range, unsorted, and duplicated within a row.
+  EXPECT_FALSE(SparseMatrix::FromCsr(1, 3, {0, 1}, {3}, {1.0}).ok());
+  EXPECT_FALSE(
+      SparseMatrix::FromCsr(1, 3, {0, 2}, {2, 0}, {1.0, 2.0}).ok());
+  EXPECT_FALSE(
+      SparseMatrix::FromCsr(1, 3, {0, 2}, {1, 1}, {1.0, 2.0}).ok());
+  // Rows restart the ascending check.
+  EXPECT_TRUE(SparseMatrix::FromCsr(2, 3, {0, 1, 2}, {2, 0}, {1.0, 2.0}).ok());
+}
+
 TEST(SparseMatrixTest, TransposedMatchesDenseTranspose) {
   Rng rng(109);
   DenseMatrix d = testing::RandomMatrix(5, 8, rng);

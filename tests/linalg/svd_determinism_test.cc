@@ -13,6 +13,7 @@
 #include "linalg/dense_matrix.h"
 #include "linalg/dense_vector.h"
 #include "linalg/gkl_svd.h"
+#include "linalg/operators.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/svd.h"
 #include "par/par.h"
@@ -80,6 +81,56 @@ TEST_F(SvdDeterminismTest, SparseMultiplyMatchesAcrossThreadCounts) {
   ExpectBitIdentical(yt1, yt8);
 }
 
+TEST_F(SvdDeterminismTest, MultiplyTransposeWithSeveralRowChunks) {
+  // 3000 rows split into eight row chunks of 375 for A^T x.
+  SparseMatrix a = LargeSparseMatrix(3000, 200, 17);
+  Rng rng(19);
+  DenseVector x(3000);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.Uniform(-1.0, 1.0);
+  x[5] = 0.0;
+
+  par::SetThreads(1);
+  DenseVector y1 = a.MultiplyTranspose(x);
+  par::SetThreads(8);
+  DenseVector y8 = a.MultiplyTranspose(x);
+
+  ExpectBitIdentical(y1, y8);
+  DenseVector dense = MultiplyTranspose(a.ToDense(), x);
+  for (std::size_t j = 0; j < y1.size(); ++j) {
+    EXPECT_NEAR(y1[j], dense[j], 1e-11) << "column " << j;
+  }
+}
+
+TEST_F(SvdDeterminismTest, BlockProductsMatchAcrossThreadCounts) {
+  SparseMatrix a = LargeSparseMatrix(900, 700, 23);
+  Rng rng(25);
+  // 100 columns: A^T X runs as two column slices.
+  DenseMatrix x = testing::RandomMatrix(700, 100, rng);
+  DenseMatrix xt = testing::RandomMatrix(900, 100, rng);
+  SparseOperator sparse(a);
+  DenseMatrix dense_a = a.ToDense();
+  DenseOperator dense(dense_a);  // Default column-loop block products.
+
+  par::SetThreads(1);
+  DenseMatrix ax1 = sparse.ApplyBlock(x);
+  DenseMatrix atx1 = sparse.ApplyTransposeBlock(xt);
+  DenseMatrix dx1 = dense.ApplyBlock(x);
+  DenseMatrix dtx1 = dense.ApplyTransposeBlock(xt);
+  par::SetThreads(8);
+  DenseMatrix ax8 = sparse.ApplyBlock(x);
+  DenseMatrix atx8 = sparse.ApplyTransposeBlock(xt);
+  DenseMatrix dx8 = dense.ApplyBlock(x);
+  DenseMatrix dtx8 = dense.ApplyTransposeBlock(xt);
+
+  ExpectBitIdentical(ax1, ax8);
+  ExpectBitIdentical(atx1, atx8);
+  ExpectBitIdentical(dx1, dx8);
+  ExpectBitIdentical(dtx1, dtx8);
+  // Both kinds of block product compute the same products.
+  EXPECT_LT(MaxAbsDiff(ax1, dx1), 1e-11);
+  EXPECT_LT(MaxAbsDiff(atx1, dtx1), 1e-11);
+}
+
 TEST_F(SvdDeterminismTest, DenseKernelsMatchAcrossThreadCounts) {
   Rng rng(13);
   DenseMatrix a = testing::RandomMatrix(300, 200, rng);
@@ -120,6 +171,42 @@ TEST_F(SvdDeterminismTest, LanczosSvdBitIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(svd1.ok()) << svd1.status().ToString();
   par::SetThreads(8);
   auto svd8 = LanczosSvd(a, 6, options);
+  ASSERT_TRUE(svd8.ok()) << svd8.status().ToString();
+
+  ExpectBitIdentical(svd1->singular_values, svd8->singular_values);
+  ExpectBitIdentical(svd1->u, svd8->u);
+  ExpectBitIdentical(svd1->v, svd8->v);
+}
+
+// Term-document matrices are wide (fewer terms than documents), so the
+// engine's solves take the outer A A^T path; the cases above are tall.
+TEST_F(SvdDeterminismTest, WideLanczosSvdBitIdenticalAcrossThreadCounts) {
+  SparseMatrix a = LargeSparseMatrix(300, 1200, 31);
+  LanczosSvdOptions options;
+  options.seed = 7;
+
+  par::SetThreads(1);
+  auto svd1 = LanczosSvd(a, 8, options);
+  ASSERT_TRUE(svd1.ok()) << svd1.status().ToString();
+  par::SetThreads(8);
+  auto svd8 = LanczosSvd(a, 8, options);
+  ASSERT_TRUE(svd8.ok()) << svd8.status().ToString();
+
+  ExpectBitIdentical(svd1->singular_values, svd8->singular_values);
+  ExpectBitIdentical(svd1->u, svd8->u);
+  ExpectBitIdentical(svd1->v, svd8->v);
+}
+
+TEST_F(SvdDeterminismTest, WideRandomizedSvdBitIdenticalAcrossThreadCounts) {
+  SparseMatrix a = LargeSparseMatrix(300, 1200, 33);
+  RandomizedSvdOptions options;
+  options.seed = 9;
+
+  par::SetThreads(1);
+  auto svd1 = RandomizedSvd(a, 8, options);
+  ASSERT_TRUE(svd1.ok()) << svd1.status().ToString();
+  par::SetThreads(8);
+  auto svd8 = RandomizedSvd(a, 8, options);
   ASSERT_TRUE(svd8.ok()) << svd8.status().ToString();
 
   ExpectBitIdentical(svd1->singular_values, svd8->singular_values);
