@@ -79,18 +79,52 @@ Result<LsiEngine> LsiEngine::Build(const text::Corpus& corpus,
                    std::move(document_names));
 }
 
+Result<LsiEngine> LsiEngine::Slice(
+    const std::vector<std::size_t>& documents) const {
+  std::vector<std::size_t> rows;
+  rows.reserve(documents.size());
+  for (std::size_t document : documents) {
+    LSI_ASSIGN_OR_RETURN(std::size_t row, RowOf(document));
+    rows.push_back(row);
+  }
+  LSI_ASSIGN_OR_RETURN(LsiIndex index, index_.Slice(rows));
+  // Rows ascend, so the ones that have names form a prefix.
+  std::vector<std::string> names;
+  for (std::size_t row : rows) {
+    if (row >= document_names_.size()) break;
+    names.push_back(document_names_[row]);
+  }
+  LsiEngine slice(std::move(index), weighting_, terms_, global_weights_,
+                  std::move(names));
+  slice.global_ids_ = documents;
+  return slice;
+}
+
 Result<std::vector<EngineHit>> LsiEngine::ToHits(
     Result<std::vector<SearchResult>> results) const {
   if (!results.ok()) return results.status();
   std::vector<EngineHit> hits;
   hits.reserve(results->size());
   for (const SearchResult& r : results.value()) {
+    const std::size_t document =
+        index_.IsSlice() ? global_ids_[r.document] : r.document;
     std::string name = r.document < document_names_.size()
                            ? document_names_[r.document]
-                           : "folded" + std::to_string(r.document);
-    hits.push_back({std::move(name), r.document, r.score});
+                           : "folded" + std::to_string(document);
+    hits.push_back({std::move(name), document, r.score});
   }
   return hits;
+}
+
+Result<std::size_t> LsiEngine::RowOf(std::size_t document) const {
+  if (!index_.IsSlice()) return document;
+  const auto it =
+      std::lower_bound(global_ids_.begin(), global_ids_.end(), document);
+  if (it == global_ids_.end() || *it != document) {
+    return Status::NotFound("document " + std::to_string(document) +
+                            " is not in this slice");
+  }
+  return static_cast<std::size_t>(it - global_ids_.begin());
 }
 
 Result<std::vector<EngineHit>> LsiEngine::Query(std::string_view query_text,
@@ -181,19 +215,19 @@ Result<std::vector<EngineHit>> LsiEngine::MoreLikeThis(
       "lsi.engine.more_like_this_calls");
   calls.Increment();
   obs::ScopedSpan span("engine.more_like_this");
-  if (document >= NumDocuments()) {
+  LSI_ASSIGN_OR_RETURN(std::size_t row, RowOf(document));
+  if (row >= NumDocuments()) {
     return Status::OutOfRange("MoreLikeThis: document index out of range");
   }
-  if (index_.IsDeleted(document)) {
+  if (index_.IsDeleted(row)) {
     return Status::NotFound("MoreLikeThis: document has been deleted");
   }
   // A source that folds to numerically nothing scores everything 0.
-  const double* source =
-      index_.IsFloorRow(LsiIndex::Rows::kDocuments, document)
-          ? nullptr
-          : index_.document_vectors().RowPtr(document);
-  return ToHits(index_.ScanTopK(LsiIndex::Rows::kDocuments, source, top_k,
-                                document));
+  const double* source = index_.IsFloorRow(LsiIndex::Rows::kDocuments, row)
+                             ? nullptr
+                             : index_.document_vectors().RowPtr(row);
+  return ToHits(
+      index_.ScanTopK(LsiIndex::Rows::kDocuments, source, top_k, row));
 }
 
 Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
@@ -225,6 +259,10 @@ Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
 
 Result<LsiEngine::FoldInResult> LsiEngine::FoldInDocument(
     std::string_view name, std::string_view text) {
+  if (index_.IsSlice()) {
+    return Status::FailedPrecondition(
+        "FoldInDocument: a slice cannot assign an engine-wide id");
+  }
   FoldInResult result;
   LSI_ASSIGN_OR_RETURN(
       result.document,
@@ -235,14 +273,16 @@ Result<LsiEngine::FoldInResult> LsiEngine::FoldInDocument(
 }
 
 Status LsiEngine::RemoveDocument(std::size_t document) {
+  // On a slice MarkDeleted fails before it looks at the id.
   return index_.MarkDeleted(document);
 }
 
 Result<std::string> LsiEngine::DocumentName(std::size_t document) const {
-  if (document >= document_names_.size()) {
+  LSI_ASSIGN_OR_RETURN(std::size_t row, RowOf(document));
+  if (row >= document_names_.size()) {
     return Status::OutOfRange("DocumentName: index out of range");
   }
-  return document_names_[document];
+  return document_names_[row];
 }
 
 Status LsiEngine::Save(const std::string& path) const {

@@ -47,6 +47,21 @@ class LsiEngine {
   static Result<LsiEngine> Build(const text::Corpus& corpus,
                                  const LsiEngineOptions& options = {});
 
+  /// A slice holding only `documents` of this engine (strictly
+  /// ascending ids this engine holds): their index rows (see
+  /// LsiIndex::Slice) and names, a local-to-engine id map, and its own
+  /// copy of the model — vocabulary, global weights, U_k and D_k.
+  ///
+  /// Every document id a slice accepts or returns is this engine's:
+  /// hits, MoreLikeThis and DocumentName translate through the map, and
+  /// an id the slice does not hold is NotFound. A slice scores the same
+  /// rows with the same fold, so its hits are exactly this engine's hits
+  /// restricted to `documents`, in the same order. FoldInDocument,
+  /// RemoveDocument and Save fail with FailedPrecondition: a slice can
+  /// assign no engine-wide id, cannot rescan the floor reference, and
+  /// has no file format for its map.
+  Result<LsiEngine> Slice(const std::vector<std::size_t>& documents) const;
+
   std::size_t NumTerms() const { return index_.NumTerms(); }
   std::size_t NumDocuments() const { return index_.NumDocuments(); }
   std::size_t rank() const { return index_.rank(); }
@@ -78,7 +93,8 @@ class LsiEngine {
 
   /// Ranks documents similar to an already-indexed document ("more like
   /// this"). The document itself and tombstoned documents are excluded
-  /// from the results; a tombstoned source is NotFound.
+  /// from the results; a tombstoned source, or one a slice does not
+  /// hold, is NotFound.
   Result<std::vector<EngineHit>> MoreLikeThis(std::size_t document,
                                               std::size_t top_k = 10) const;
 
@@ -90,7 +106,8 @@ class LsiEngine {
   Result<std::vector<RelatedTerm>> RelatedTerms(std::string_view term,
                                                 std::size_t top_k = 10) const;
 
-  /// Name of document `index` (as given at corpus build time).
+  /// Name of document `index` (as given at corpus build time). NotFound
+  /// when a slice does not hold it.
   Result<std::string> DocumentName(std::size_t document) const;
 
   /// Folds a new document into the latent space without recomputing the
@@ -130,8 +147,13 @@ class LsiEngine {
             std::vector<std::string> terms, std::vector<double> global_weights,
             std::vector<std::string> document_names);
 
+  // Index rows -> hits carrying engine-wide ids and names.
   Result<std::vector<EngineHit>> ToHits(
       Result<std::vector<SearchResult>> results) const;
+
+  // The index row of engine-wide id `document`: the id itself, or for a
+  // slice its place in the id map (NotFound when the slice lacks it).
+  Result<std::size_t> RowOf(std::size_t document) const;
 
   // The weighted term vector of AnalyzeQueryCounts output: local weight
   // of each count times the term's global weight, ids kept in order.
@@ -144,7 +166,10 @@ class LsiEngine {
   std::vector<std::string> terms_;  // Term id -> string.
   std::unordered_map<std::string, std::size_t> term_ids_;
   std::vector<double> global_weights_;  // Per-term idf/entropy factor.
-  std::vector<std::string> document_names_;
+  std::vector<std::string> document_names_;  // Index row -> name.
+  // A slice's index row -> engine-wide id, strictly ascending; empty
+  // unless index_.IsSlice().
+  std::vector<std::size_t> global_ids_;
 };
 
 /// Merges per-source ranked hit lists into one list ranked the way

@@ -23,6 +23,11 @@ constexpr std::uint64_t kFormatVersion = 2;
 }  // namespace
 
 Status LsiIndex::WriteTo(Writer& writer) const {
+  if (slice_) {
+    return Status::FailedPrecondition(
+        "LsiIndex: a slice has no file format (its floor reference and id "
+        "map are not stored)");
+  }
   LSI_RETURN_IF_ERROR(writer.WriteU64(kFormatVersion));
   LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, svd_.u));
   LSI_RETURN_IF_ERROR(WriteDenseVectorBody(writer, svd_.singular_values));

@@ -85,6 +85,15 @@ Result<TermWeights> Nonzeros(const linalg::DenseVector& v,
   return terms;
 }
 
+// A copy of `v` with capacity for one more element.
+template <typename T>
+std::vector<T> WithSpareSlot(const std::vector<T>& v) {
+  std::vector<T> copy;
+  copy.reserve(v.size() + 1);
+  copy.assign(v.begin(), v.end());
+  return copy;
+}
+
 }  // namespace
 
 const double* FoldedVector::Probe() const {
@@ -110,6 +119,52 @@ LsiIndex::LsiIndex(linalg::SvdResult svd,
                    linalg::DenseMatrix document_vectors)
     : svd_(std::move(svd)), document_vectors_(std::move(document_vectors)) {
   RecomputeNorms();
+}
+
+LsiIndex::LsiIndex(const LsiIndex& other)
+    : svd_(other.svd_),
+      document_vectors_(other.document_vectors_.CopyWithSpareRow()),
+      document_norms_(WithSpareSlot(other.document_norms_)),
+      max_document_norm_(other.max_document_norm_),
+      term_norms_(other.term_norms_),
+      max_term_norm_(other.max_term_norm_),
+      deleted_(WithSpareSlot(other.deleted_)),
+      num_deleted_(other.num_deleted_),
+      slice_(other.slice_) {}
+
+LsiIndex& LsiIndex::operator=(const LsiIndex& other) {
+  if (this != &other) *this = LsiIndex(other);
+  return *this;
+}
+
+Result<LsiIndex> LsiIndex::Slice(const std::vector<std::size_t>& rows) const {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= NumDocuments() || (i > 0 && rows[i] <= rows[i - 1])) {
+      return Status::InvalidArgument(
+          "LsiIndex::Slice: rows must ascend strictly and be below the "
+          "number of documents");
+    }
+  }
+  LsiIndex slice;
+  slice.svd_.u = svd_.u;
+  slice.svd_.singular_values = svd_.singular_values;
+  // Ascending ids put the built documents, the ones with a V_k row,
+  // before the folded-in ones.
+  slice.svd_.v = svd_.v.SelectRows(std::vector<std::size_t>(
+      rows.begin(), std::lower_bound(rows.begin(), rows.end(), svd_.v.rows())));
+  slice.document_vectors_ = document_vectors_.SelectRows(rows);
+  slice.document_norms_.reserve(rows.size());
+  slice.deleted_.reserve(rows.size());
+  for (std::size_t j : rows) {
+    slice.document_norms_.push_back(document_norms_[j]);
+    slice.deleted_.push_back(IsDeleted(j) ? 1 : 0);
+    slice.num_deleted_ += slice.deleted_.back();
+  }
+  slice.max_document_norm_ = max_document_norm_;
+  slice.term_norms_ = term_norms_;
+  slice.max_term_norm_ = max_term_norm_;
+  slice.slice_ = true;
+  return slice;
 }
 
 void LsiIndex::RecomputeNorms() {
@@ -242,6 +297,10 @@ Result<std::size_t> LsiIndex::FoldInDocument(
 }
 
 Status LsiIndex::MarkDeleted(std::size_t j) {
+  if (slice_) {
+    return Status::FailedPrecondition(
+        "MarkDeleted: a slice cannot rescan its source's floor reference");
+  }
   if (j >= NumDocuments()) {
     return Status::OutOfRange("MarkDeleted: document index out of range");
   }

@@ -96,6 +96,32 @@ class LsiIndex {
   /// factor shapes.
   static Result<LsiIndex> FromSvd(linalg::SvdResult svd);
 
+  /// Copies leave room for one more document row, so a copy's first
+  /// FoldInDocument appends in place instead of moving every row (a
+  /// copied vector's capacity is its size).
+  LsiIndex(const LsiIndex& other);
+  LsiIndex& operator=(const LsiIndex& other);
+  LsiIndex(LsiIndex&&) noexcept = default;
+  LsiIndex& operator=(LsiIndex&&) noexcept = default;
+
+  /// A slice holding only documents `rows` of this index (strictly
+  /// ascending ids below NumDocuments()): their V_k and V_k D_k rows,
+  /// norms and tombstones, plus its own copy of U_k and D_k. Row i of
+  /// the slice is document rows[i] here. Because the ids ascend,
+  /// ScanTopK's tie rule (ascending row) keeps this index's order, and
+  /// the slice scores every row with the same bytes.
+  ///
+  /// The slice keeps this index's floor reference (the largest document
+  /// norm here, not among `rows`), so IsFloorRow judges each row as this
+  /// index does. That reference cannot be rescanned or persisted from
+  /// the slice's rows alone, so MarkDeleted, WriteTo and Save (through
+  /// WriteTo, leaving no file) on a slice fail with FailedPrecondition. FoldInDocument works: the new row
+  /// raises the reference exactly as it would here.
+  Result<LsiIndex> Slice(const std::vector<std::size_t>& rows) const;
+
+  /// True for an index made by Slice().
+  bool IsSlice() const { return slice_; }
+
   std::size_t rank() const { return svd_.rank(); }
   std::size_t NumTerms() const { return svd_.u.rows(); }
 
@@ -160,8 +186,9 @@ class LsiIndex {
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
   /// True when row j of `rows` folds to numerically nothing: its norm is
-  /// at most 1e-12 times the largest row norm of the set. Cosines
-  /// against such a row are rounding noise.
+  /// at most 1e-12 times the largest row norm of the set (for a slice's
+  /// documents, of its source's set). Cosines against such a row are
+  /// rounding noise.
   bool IsFloorRow(Rows rows, std::size_t j) const;
 
   /// The one latent-cosine ranking behind Search, SearchWithFeedback and
@@ -210,7 +237,8 @@ class LsiIndex {
   /// score, and excludes it from every ScanTopK ranking. Idempotent.
   /// Deletion marks are an in-memory overlay — Save() writes the zeroed
   /// row but not the flag (rebuild the overlay from the system of
-  /// record, e.g. the live layer's WAL, after Load()).
+  /// record, e.g. the live layer's WAL, after Load()). Fails with
+  /// FailedPrecondition on a slice (see Slice()).
   Status MarkDeleted(std::size_t j);
 
   /// True when document `j` has been tombstoned by MarkDeleted().
@@ -224,7 +252,8 @@ class LsiIndex {
   /// Serializes the index (SVD factors + document vectors, including
   /// folded-in ones) to a binary file. Crash-safe: writes `path + ".tmp"`
   /// and renames it into place, so `path` always holds either the old
-  /// index or the complete new one.
+  /// index or the complete new one. Fails with FailedPrecondition on a
+  /// slice (see Slice()).
   Status Save(const std::string& path) const;
 
   /// Loads an index written by Save(). Corruption anywhere in the file —
@@ -244,6 +273,7 @@ class LsiIndex {
   const linalg::SvdResult& svd() const { return svd_; }
 
  private:
+  LsiIndex() = default;
   explicit LsiIndex(linalg::SvdResult svd);
   LsiIndex(linalg::SvdResult svd, linalg::DenseMatrix document_vectors);
 
@@ -255,7 +285,8 @@ class LsiIndex {
   // m x k = V_k D_k at build time, plus one row per folded-in document.
   linalg::DenseMatrix document_vectors_;
   // Cached row norms of document_vectors_ and of U_k D_k, and their
-  // maxima: the cosine denominators and floors of ScanTopK.
+  // maxima: the cosine denominators and floors of ScanTopK. A slice's
+  // max_document_norm_ is its source's.
   std::vector<double> document_norms_;
   double max_document_norm_ = 0.0;
   std::vector<double> term_norms_;
@@ -264,6 +295,7 @@ class LsiIndex {
   // results. Not serialized (see MarkDeleted).
   std::vector<std::uint8_t> deleted_;
   std::size_t num_deleted_ = 0;
+  bool slice_ = false;
 };
 
 /// Ranks `scores` and returns the top_k indices by descending score,

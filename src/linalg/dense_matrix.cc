@@ -90,6 +90,25 @@ void DenseMatrix::AppendRow(const DenseVector& v) {
   ++rows_;
 }
 
+DenseMatrix DenseMatrix::SelectRows(
+    const std::vector<std::size_t>& rows) const {
+  DenseMatrix out(rows.size(), cols_);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    LSI_CHECK(rows[i] < rows_);
+    std::copy(RowPtr(rows[i]), RowPtr(rows[i]) + cols_, out.RowPtr(i));
+  }
+  return out;
+}
+
+DenseMatrix DenseMatrix::CopyWithSpareRow() const {
+  DenseMatrix copy;
+  copy.rows_ = rows_;
+  copy.cols_ = cols_;
+  copy.data_.reserve(data_.size() + cols_);
+  copy.data_.assign(data_.begin(), data_.end());
+  return copy;
+}
+
 void DenseMatrix::Fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -64,6 +64,15 @@ class DenseMatrix {
   /// the first append fixes the column count.
   void AppendRow(const DenseVector& v);
 
+  /// A copy holding rows `rows` of this matrix, in that order. Every id
+  /// must be below rows().
+  DenseMatrix SelectRows(const std::vector<std::size_t>& rows) const;
+
+  /// A copy whose storage has room for one more row, so its first
+  /// AppendRow appends in place. (A plain copy's capacity is its size:
+  /// its first AppendRow moves every row.)
+  DenseMatrix CopyWithSpareRow() const;
+
   /// Sets every entry to `value`.
   void Fill(double value);
 

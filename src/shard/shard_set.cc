@@ -20,16 +20,15 @@ Result<ShardSet> ShardSet::Build(const text::Corpus& corpus,
   // comment for why).
   LSI_ASSIGN_OR_RETURN(core::LsiEngine global,
                        core::LsiEngine::Build(corpus, options.engine));
-  const std::size_t documents = global.NumDocuments();
+  std::vector<std::vector<std::size_t>> owned(options.num_shards);
+  for (std::size_t d = 0; d < global.NumDocuments(); ++d) {
+    owned[ShardOf(d, options.num_shards)].push_back(d);
+  }
   std::vector<core::LsiEngine> shards;
   shards.reserve(options.num_shards);
-  for (std::size_t s = 0; s < options.num_shards; ++s) {
-    core::LsiEngine engine = global;
-    for (std::size_t d = 0; d < documents; ++d) {
-      if (ShardOf(d, options.num_shards) == s) continue;
-      LSI_RETURN_IF_ERROR(engine.RemoveDocument(d));
-    }
-    shards.push_back(std::move(engine));
+  for (const std::vector<std::size_t>& documents : owned) {
+    LSI_ASSIGN_OR_RETURN(core::LsiEngine slice, global.Slice(documents));
+    shards.push_back(std::move(slice));
   }
   obs::MetricsRegistry::Global()
       .GetGauge("lsi.shard.set.shards")

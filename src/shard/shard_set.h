@@ -23,11 +23,13 @@ struct ShardSetOptions {
 /// A corpus partitioned across N in-process LsiEngine instances.
 ///
 /// Sharding happens in a SHARED latent space: the rank-k factorization
-/// is computed once over the full corpus, and shard s then tombstones
-/// every document it does not own (ShardOf(d) != s). Each shard
-/// therefore scores its documents with exactly the same latent vectors
-/// — and the same global document ids — as the unsharded engine, so a
-/// merged top-k (core::MergeTopKHits) is bit-identical to querying the
+/// is computed once over the full corpus, and shard s is then the
+/// LsiEngine::Slice holding only the documents it owns (ShardOf(d) ==
+/// s): their latent rows, norms and names plus an ascending id map,
+/// next to its own copy of U_k, D_k and the vocabulary. Each shard
+/// therefore scores its documents with exactly the same latent vectors,
+/// floor reference and global document ids as the unsharded engine, so
+/// a merged top-k (core::MergeTopKHits) is bit-identical to querying the
 /// single engine. That exactness is what the scatter-gather router's
 /// "degraded results are a subset, full results are the real answer"
 /// contract rests on; trading it for per-shard SVDs (smaller resident

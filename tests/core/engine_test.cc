@@ -215,6 +215,16 @@ TEST(LsiEngineTest, RelatedTermsValidation) {
   EXPECT_TRUE(engine->RelatedTerms("the").status().IsInvalidArgument());
 }
 
+TEST(LsiEngineTest, CopyFoldsInWithoutMovingRows) {
+  auto engine = LsiEngine::Build(ThreeTopicCorpus(), SmallOptions());
+  ASSERT_TRUE(engine.ok());
+  LsiEngine copy = *engine;
+  const double* first_row = copy.index().document_vectors().RowPtr(0);
+  ASSERT_TRUE(copy.FoldInDocument("new", "moon orbit rocket").ok());
+  EXPECT_EQ(copy.index().document_vectors().RowPtr(0), first_row);
+  EXPECT_EQ(copy.NumDocuments(), engine->NumDocuments() + 1);
+}
+
 TEST(LsiEngineTest, DocumentName) {
   auto engine = LsiEngine::Build(ThreeTopicCorpus(), SmallOptions());
   ASSERT_TRUE(engine.ok());
