@@ -29,9 +29,9 @@ Status LsiIndex::WriteTo(Writer& writer) const {
         "map are not stored)");
   }
   LSI_RETURN_IF_ERROR(writer.WriteU64(kFormatVersion));
-  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, svd_.u));
-  LSI_RETURN_IF_ERROR(WriteDenseVectorBody(writer, svd_.singular_values));
-  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, svd_.v));
+  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, u_));
+  LSI_RETURN_IF_ERROR(WriteDenseVectorBody(writer, singular_values_));
+  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, RightSingularVectors()));
   return WriteDenseMatrixBody(writer, document_vectors_);
 }
 

@@ -12,8 +12,10 @@ namespace lsi::core {
 
 /// Options for Lloyd's k-means.
 struct KMeansOptions {
+  /// Lloyd iterations at most; a run stops earlier once no point
+  /// changes cluster.
   std::size_t max_iterations = 100;
-  /// Stop when no point changes cluster.
+  /// Seeds the k-means++ choices and empty-cluster reseeds.
   std::uint64_t seed = 42;
   /// Independent restarts; the best (lowest-inertia) run wins.
   std::size_t restarts = 4;

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
 
 #include "common/check.h"
+#include "common/timer.h"
+#include "core/kmeans.h"
 #include "linalg/operators.h"
 #include "linalg/simd/simd.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "par/parallel_for.h"
 
@@ -45,6 +50,49 @@ Result<linalg::SvdResult> ComputeJacobi(const linalg::DenseMatrix& dense,
 // A vector whose norm is at most this fraction of its reference norm
 // folds to numerically nothing: cosines against it are rounding noise.
 constexpr double kFloorRatio = 1e-12;
+
+// Document clustering for the bounded scan (DESIGN.md, "Latent-cosine
+// ranking"). Every input is fixed, so the same rows cluster alike at
+// any LSI_THREADS.
+constexpr std::size_t kClusters = 64;
+constexpr std::size_t kClusterSample = 2000;
+constexpr std::size_t kClusterIterations = 20;
+constexpr std::uint64_t kClusterSeed = 1998;
+constexpr std::size_t kClusterGrain = 1024;
+
+// Rounding pads of the bound. A computed cosine of two k-vectors is off
+// from the exact one by about 2 k u (u = 2^-53), below kCosinePad for
+// any rank up to 10^5. acos turns a cosine error d into an angle error
+// of at most sqrt(2 d) < 1.5e-5 rad; kAnglePad covers the probe's angle
+// and the member's angle together.
+constexpr double kCosinePad = 1e-10;
+constexpr double kAnglePad = 4e-5;
+
+// The angle of a member with cosine `cos` to its centroid. A NaN (a row
+// too small to have a direction) counts as the farthest angle, pi.
+double MemberAngle(double cos) {
+  if (cos >= 1.0) return 0.0;
+  return cos >= -1.0 ? std::acos(cos) : std::numbers::pi;
+}
+
+// The highest score a member of a cluster of angular radius `radius`
+// can reach against a probe whose cosine to the centroid is `probe_cos`:
+// cos(max(0, theta - radius)), padded for rounding and clamped at 0. A
+// NaN cosine counts as angle 0, which bounds nothing out.
+double UpperBound(double probe_cos, double radius) {
+  const double theta =
+      probe_cos < 1.0 ? std::acos(std::max(-1.0, probe_cos)) : 0.0;
+  const double gap = theta - radius - kAnglePad;
+  if (gap <= 0.0) return 1.0 + kCosinePad;
+  return std::max(0.0, std::cos(gap) + kCosinePad);
+}
+
+// Rows offered to a ranking, bumped once per ScanTopK.
+obs::Counter& RowsScoredCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("lsi.index.rows_scored");
+  return counter;
+}
 
 // The ranking order: score descending, ties by ascending id. It is a
 // total order, so every selection strategy and chunking yields the same
@@ -100,36 +148,49 @@ const double* FoldedVector::Probe() const {
   return latent.Norm() <= kFloorRatio * term_norm ? nullptr : latent.data();
 }
 
-LsiIndex::LsiIndex(linalg::SvdResult svd) : svd_(std::move(svd)) {
-  obs::ScopedSpan span("project");
-  // Document vectors: V_k D_k (row j = sigma-weighted coordinates of
-  // document j in the latent space).
-  const std::size_t m = svd_.v.rows();
-  const std::size_t k = svd_.rank();
-  document_vectors_ = linalg::DenseMatrix(m, k);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t i = 0; i < k; ++i) {
-      document_vectors_(j, i) = svd_.v(j, i) * svd_.singular_values[i];
+LsiIndex::LsiIndex(linalg::SvdResult svd)
+    : u_(std::move(svd.u)),
+      singular_values_(std::move(svd.singular_values)),
+      document_vectors_(std::move(svd.v)),
+      built_documents_(document_vectors_.rows()) {
+  {
+    obs::ScopedSpan span("project");
+    // Document vectors: V_k D_k (row j = sigma-weighted coordinates of
+    // document j in the latent space), scaled in place.
+    const std::size_t k = rank();
+    for (std::size_t j = 0; j < built_documents_; ++j) {
+      double* row = document_vectors_.RowPtr(j);
+      for (std::size_t i = 0; i < k; ++i) row[i] *= singular_values_[i];
     }
+    RecomputeNorms();
   }
-  RecomputeNorms();
+  Cluster();
 }
 
 LsiIndex::LsiIndex(linalg::SvdResult svd,
                    linalg::DenseMatrix document_vectors)
-    : svd_(std::move(svd)), document_vectors_(std::move(document_vectors)) {
+    : u_(std::move(svd.u)),
+      singular_values_(std::move(svd.singular_values)),
+      document_vectors_(std::move(document_vectors)),
+      built_documents_(svd.v.rows()) {
   RecomputeNorms();
+  Cluster();
 }
 
 LsiIndex::LsiIndex(const LsiIndex& other)
-    : svd_(other.svd_),
+    : u_(other.u_),
+      singular_values_(other.singular_values_),
       document_vectors_(other.document_vectors_.CopyWithSpareRow()),
+      built_documents_(other.built_documents_),
       document_norms_(WithSpareSlot(other.document_norms_)),
       max_document_norm_(other.max_document_norm_),
       term_norms_(other.term_norms_),
       max_term_norm_(other.max_term_norm_),
       deleted_(WithSpareSlot(other.deleted_)),
       num_deleted_(other.num_deleted_),
+      centroids_(other.centroids_),
+      radii_(other.radii_),
+      members_(other.members_),
       slice_(other.slice_) {}
 
 LsiIndex& LsiIndex::operator=(const LsiIndex& other) {
@@ -146,12 +207,12 @@ Result<LsiIndex> LsiIndex::Slice(const std::vector<std::size_t>& rows) const {
     }
   }
   LsiIndex slice;
-  slice.svd_.u = svd_.u;
-  slice.svd_.singular_values = svd_.singular_values;
-  // Ascending ids put the built documents, the ones with a V_k row,
-  // before the folded-in ones.
-  slice.svd_.v = svd_.v.SelectRows(std::vector<std::size_t>(
-      rows.begin(), std::lower_bound(rows.begin(), rows.end(), svd_.v.rows())));
+  slice.u_ = u_;
+  slice.singular_values_ = singular_values_;
+  // Ascending ids put the built documents before the folded-in ones.
+  slice.built_documents_ = static_cast<std::size_t>(
+      std::lower_bound(rows.begin(), rows.end(), built_documents_) -
+      rows.begin());
   slice.document_vectors_ = document_vectors_.SelectRows(rows);
   slice.document_norms_.reserve(rows.size());
   slice.deleted_.reserve(rows.size());
@@ -163,6 +224,18 @@ Result<LsiIndex> LsiIndex::Slice(const std::vector<std::size_t>& rows) const {
   slice.max_document_norm_ = max_document_norm_;
   slice.term_norms_ = term_norms_;
   slice.max_term_norm_ = max_term_norm_;
+  // A radius bounds every member, so it bounds every subset of them:
+  // the slice keeps the clusters and drops the rows it does not hold.
+  slice.centroids_ = centroids_;
+  slice.radii_ = radii_;
+  slice.members_.resize(members_.size());
+  std::vector<std::size_t> position(NumDocuments(), kNoRow);
+  for (std::size_t i = 0; i < rows.size(); ++i) position[rows[i]] = i;
+  for (std::size_t c = 0; c < members_.size(); ++c) {
+    for (std::size_t j : members_[c]) {
+      if (position[j] != kNoRow) slice.members_[c].push_back(position[j]);
+    }
+  }
   slice.slice_ = true;
   return slice;
 }
@@ -187,9 +260,103 @@ void LsiIndex::RecomputeNorms() {
   }
 }
 
+void LsiIndex::Cluster() {
+  const Timer timer;
+  const std::size_t m = NumDocuments();
+  const std::size_t k = rank();
+  centroids_ = linalg::DenseMatrix();
+  radii_.clear();
+  members_.clear();
+
+  // k-means on the unit directions of every stride-th row; floor rows
+  // have no reliable direction.
+  const std::size_t stride = std::max<std::size_t>(
+      1, (m + kClusterSample - 1) / kClusterSample);
+  std::vector<std::size_t> sample;
+  for (std::size_t j = 0; j < m; j += stride) {
+    if (!IsFloorRow(Rows::kDocuments, j)) sample.push_back(j);
+  }
+  if (!sample.empty()) {
+    linalg::DenseMatrix points(sample.size(), k);
+    for (std::size_t i = 0; i < sample.size(); ++i) {
+      const double* row = document_vectors_.RowPtr(sample[i]);
+      const double inv = 1.0 / document_norms_[sample[i]];
+      for (std::size_t d = 0; d < k; ++d) points(i, d) = row[d] * inv;
+    }
+    KMeansOptions options;
+    options.max_iterations = kClusterIterations;
+    options.seed = kClusterSeed;
+    options.restarts = 1;
+    const Result<KMeansResult> kmeans =
+        KMeans(points, std::min(kClusters, sample.size()), options);
+    LSI_CHECK(kmeans.ok());
+    // Unit centroids; a mean that cancels to zero has no direction and
+    // is dropped.
+    std::vector<linalg::DenseVector> units;
+    for (std::size_t c = 0; c < kmeans->centroids.rows(); ++c) {
+      linalg::DenseVector centroid = kmeans->centroids.Row(c);
+      const double norm = centroid.Norm();
+      if (norm == 0.0) continue;
+      centroid.Scale(1.0 / norm);
+      units.push_back(std::move(centroid));
+    }
+    centroids_ = linalg::DenseMatrix(units.size(), k);
+    for (std::size_t c = 0; c < units.size(); ++c) {
+      centroids_.SetRow(c, units[c]);
+    }
+  }
+
+  // Every row joins its nearest centroid; a radius is the exact max of
+  // its members' angles, so the chunked reduction is order-free.
+  const std::size_t clusters = centroids_.rows();
+  if (clusters > 0) {
+    std::vector<std::size_t> cluster_of(m);
+    radii_ = par::ParallelReduce(
+        0, m, kClusterGrain, std::vector<double>(clusters, 0.0),
+        [&](std::size_t begin, std::size_t end) {
+          std::vector<double> radii(clusters, 0.0);
+          for (std::size_t j = begin; j < end; ++j) {
+            const auto [c, angle] = NearestCluster(j);
+            cluster_of[j] = c;
+            radii[c] = std::max(radii[c], angle);
+          }
+          return radii;
+        },
+        [](std::vector<double> radii, const std::vector<double>& chunk) {
+          for (std::size_t c = 0; c < radii.size(); ++c) {
+            radii[c] = std::max(radii[c], chunk[c]);
+          }
+          return radii;
+        });
+    members_.resize(clusters);
+    for (std::size_t j = 0; j < m; ++j) members_[cluster_of[j]].push_back(j);
+  }
+  obs::MetricsRegistry::Global()
+      .GetGauge("lsi.index.cluster_ms")
+      .Set(timer.ElapsedMillis());
+}
+
+std::pair<std::size_t, double> LsiIndex::NearestCluster(std::size_t j) const {
+  // A zero row scores 0 against every probe, and every bound is at
+  // least 0, so it can join any cluster without widening it.
+  const double norm = document_norms_[j];
+  if (norm == 0.0) return {0, 0.0};
+  const double* row = document_vectors_.RowPtr(j);
+  std::size_t best = 0;
+  double best_dot = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < centroids_.rows(); ++c) {
+    const double dot = linalg::simd::Dot(row, centroids_.RowPtr(c), rank());
+    if (dot > best_dot) {
+      best_dot = dot;
+      best = c;
+    }
+  }
+  return {best, MemberAngle(best_dot / norm)};
+}
+
 void LsiIndex::TermRow(std::size_t t, double* out) const {
   for (std::size_t i = 0; i < rank(); ++i) {
-    out[i] = svd_.u(t, i) * svd_.singular_values[i];
+    out[i] = u_(t, i) * singular_values_[i];
   }
 }
 
@@ -254,7 +421,7 @@ Result<FoldedVector> LsiIndex::Fold(const TermWeights& terms) const {
     }
     min_term = term + 1;
     if (weight == 0.0) continue;
-    linalg::simd::Axpy(folded.latent.data(), weight, svd_.u.RowPtr(term), k);
+    linalg::simd::Axpy(folded.latent.data(), weight, u_.RowPtr(term), k);
     squared_norm += weight * weight;
   }
   folded.term_norm = std::sqrt(squared_norm);
@@ -287,7 +454,13 @@ Result<std::size_t> LsiIndex::FoldInDocument(const TermWeights& document,
   document_norms_.push_back(folded_norm);
   max_document_norm_ = std::max(max_document_norm_, folded_norm);
   deleted_.push_back(0);
-  return NumDocuments() - 1;
+  const std::size_t j = NumDocuments() - 1;
+  if (!members_.empty()) {
+    const auto [c, angle] = NearestCluster(j);
+    members_[c].push_back(j);
+    radii_[c] = std::max(radii_[c], angle);
+  }
+  return j;
 }
 
 Result<std::size_t> LsiIndex::FoldInDocument(
@@ -322,8 +495,24 @@ Status LsiIndex::MarkDeleted(std::size_t j) {
 }
 
 double LsiIndex::SingularValue(std::size_t i) const {
-  LSI_CHECK(i < svd_.rank());
-  return svd_.singular_values[i];
+  LSI_CHECK(i < rank());
+  return singular_values_[i];
+}
+
+linalg::DenseMatrix LsiIndex::RightSingularVectors() const {
+  const std::size_t k = rank();
+  linalg::DenseMatrix v(built_documents_, k, 0.0);
+  for (std::size_t j = 0; j < built_documents_; ++j) {
+    const double* row = document_vectors_.RowPtr(j);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (singular_values_[i] != 0.0) v(j, i) = row[i] / singular_values_[i];
+    }
+  }
+  return v;
+}
+
+linalg::SvdResult LsiIndex::svd() const {
+  return {u_, singular_values_, RightSingularVectors()};
 }
 
 linalg::DenseVector LsiIndex::DocumentVector(std::size_t j) const {
@@ -374,6 +563,10 @@ bool LsiIndex::IsFloorRow(Rows rows, std::size_t j) const {
 std::vector<SearchResult> LsiIndex::ScanTopK(Rows rows, const double* probe,
                                              std::size_t top_k,
                                              std::size_t exclude) const {
+  if (rows == Rows::kDocuments && top_k > 0 && probe != nullptr &&
+      !members_.empty()) {
+    return BoundedScan(probe, top_k, exclude);
+  }
   const bool terms = rows == Rows::kTerms;
   const std::size_t k = rank();
   const std::vector<double>& norms = terms ? term_norms_ : document_norms_;
@@ -385,8 +578,12 @@ std::vector<SearchResult> LsiIndex::ScanTopK(Rows rows, const double* probe,
   // LSI_THREADS setting; Better is a total order, so the result is too.
   const std::size_t grain =
       std::max<std::size_t>(64, (1 << 16) / std::max<std::size_t>(1, k));
-  auto scan = [&](std::size_t begin, std::size_t end) {
+  struct Ranked {
     std::vector<SearchResult> best;
+    std::size_t scored = 0;
+  };
+  auto scan = [&](std::size_t begin, std::size_t end) {
+    Ranked ranked;
     std::vector<double> term_row(terms ? k : 0);
     for (std::size_t j = begin; j < end; ++j) {
       const bool at_floor = IsFloorRow(rows, j);
@@ -398,18 +595,57 @@ std::vector<SearchResult> LsiIndex::ScanTopK(Rows rows, const double* probe,
             terms ? term_row.data() : document_vectors_.RowPtr(j);
         score = linalg::simd::Dot(probe, row, k) / (probe_norm * norms[j]);
       }
-      Offer(best, {j, score}, top_k);
+      Offer(ranked.best, {j, score}, top_k);
+      ++ranked.scored;
     }
-    return best;
+    return ranked;
   };
-  auto merge = [&](std::vector<SearchResult> best,
-                   std::vector<SearchResult> chunk) {
-    for (const SearchResult& r : chunk) Offer(best, r, top_k);
-    return best;
+  auto merge = [&](Ranked ranked, Ranked chunk) {
+    for (const SearchResult& r : chunk.best) Offer(ranked.best, r, top_k);
+    ranked.scored += chunk.scored;
+    return ranked;
   };
-  std::vector<SearchResult> best =
-      par::ParallelReduce(0, norms.size(), grain,
-                          std::vector<SearchResult>{}, scan, merge);
+  Ranked ranked =
+      par::ParallelReduce(0, norms.size(), grain, Ranked{}, scan, merge);
+  RowsScoredCounter().Increment(ranked.scored);
+  std::sort(ranked.best.begin(), ranked.best.end(), Better);
+  return std::move(ranked.best);
+}
+
+std::vector<SearchResult> LsiIndex::BoundedScan(const double* probe,
+                                                std::size_t top_k,
+                                                std::size_t exclude) const {
+  const std::size_t k = rank();
+  const double probe_norm = std::sqrt(linalg::simd::SquaredNorm(probe, k));
+  // Clusters by best reachable score, descending; ties by cluster id.
+  std::vector<std::pair<double, std::size_t>> order(members_.size());
+  for (std::size_t c = 0; c < members_.size(); ++c) {
+    const double probe_cos =
+        linalg::simd::Dot(probe, centroids_.RowPtr(c), k) / probe_norm;
+    order[c] = {UpperBound(probe_cos, radii_[c]), c};
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first > b.first || (a.first == b.first && a.second < b.second);
+  });
+  std::vector<SearchResult> best;
+  best.reserve(std::min(top_k, NumDocuments()));
+  std::size_t scored = 0;
+  for (const auto& [bound, c] : order) {
+    // Strictly below: a member tying the k-th score could still win on
+    // a lower id.
+    if (best.size() == top_k && bound < best.front().score) break;
+    for (std::size_t j : members_[c]) {
+      if (j == exclude || deleted_[j] != 0) continue;
+      double score = 0.0;
+      if (!IsFloorRow(Rows::kDocuments, j)) {
+        score = linalg::simd::Dot(probe, document_vectors_.RowPtr(j), k) /
+                (probe_norm * document_norms_[j]);
+      }
+      Offer(best, {j, score}, top_k);
+      ++scored;
+    }
+  }
+  RowsScoredCounter().Increment(scored);
   std::sort(best.begin(), best.end(), Better);
   return best;
 }

@@ -105,8 +105,8 @@ class LsiIndex {
   LsiIndex& operator=(LsiIndex&&) noexcept = default;
 
   /// A slice holding only documents `rows` of this index (strictly
-  /// ascending ids below NumDocuments()): their V_k and V_k D_k rows,
-  /// norms and tombstones, plus its own copy of U_k and D_k. Row i of
+  /// ascending ids below NumDocuments()): their V_k D_k rows, norms
+  /// and tombstones, plus its own copy of U_k and D_k. Row i of
   /// the slice is document rows[i] here. Because the ids ascend,
   /// ScanTopK's tie rule (ascending row) keeps this index's order, and
   /// the slice scores every row with the same bytes.
@@ -117,13 +117,17 @@ class LsiIndex {
   /// the slice's rows alone, so MarkDeleted, WriteTo and Save (through
   /// WriteTo, leaving no file) on a slice fail with FailedPrecondition. FoldInDocument works: the new row
   /// raises the reference exactly as it would here.
+  ///
+  /// The slice keeps this index's document clusters (centroids and
+  /// radii) and drops the members it does not hold: a radius that bounds
+  /// a cluster bounds any subset of it.
   Result<LsiIndex> Slice(const std::vector<std::size_t>& rows) const;
 
   /// True for an index made by Slice().
   bool IsSlice() const { return slice_; }
 
-  std::size_t rank() const { return svd_.rank(); }
-  std::size_t NumTerms() const { return svd_.u.rows(); }
+  std::size_t rank() const { return singular_values_.size(); }
+  std::size_t NumTerms() const { return u_.rows(); }
 
   /// Number of searchable documents, including any folded-in after the
   /// build (so this can exceed svd().v.rows()).
@@ -192,9 +196,9 @@ class LsiIndex {
   bool IsFloorRow(Rows rows, std::size_t j) const;
 
   /// The one latent-cosine ranking behind Search, SearchWithFeedback and
-  /// the engine's MoreLikeThis/RelatedTerms: scores every candidate row
-  /// r of `rows` by cos(probe, r) and returns the best `top_k` (all if
-  /// 0), ordered by score descending, ties by ascending row id.
+  /// the engine's MoreLikeThis/RelatedTerms: scores candidate rows r of
+  /// `rows` by cos(probe, r) and returns the best `top_k` (all if 0),
+  /// ordered by score descending, ties by ascending row id.
   ///
   /// Candidates are all rows except `exclude`, tombstoned documents and
   /// floor terms; excluded rows are skipped before any dot product. A
@@ -202,6 +206,13 @@ class LsiIndex {
   /// rank() doubles with a nonzero norm, or is nullptr — the caller's
   /// verdict that its probe is degenerate — which scores every
   /// candidate 0. Results are bit-identical at every LSI_THREADS.
+  ///
+  /// Documents with top_k > 0 and a probe are ranked by a bounded scan:
+  /// it visits the document clusters in order of the best cosine any
+  /// member could reach and stops once no unvisited row can enter the
+  /// top k. Every row it visits is scored exactly as the full scan
+  /// scores it, so the result equals the full scan's. Terms, top_k == 0
+  /// and a null probe scan every candidate.
   std::vector<SearchResult> ScanTopK(Rows rows, const double* probe,
                                      std::size_t top_k,
                                      std::size_t exclude = kNoRow) const;
@@ -230,7 +241,7 @@ class LsiIndex {
 
   /// Number of documents folded in since the build.
   std::size_t NumFoldedDocuments() const {
-    return NumDocuments() - svd_.v.rows();
+    return NumDocuments() - built_documents_;
   }
 
   /// Tombstones document `j`: zeroes its latent vector so it can never
@@ -269,8 +280,12 @@ class LsiIndex {
   Status WriteTo(linalg::io_internal::Writer& writer) const;
   static Result<LsiIndex> ReadFrom(linalg::io_internal::Reader& reader);
 
-  /// The underlying truncated SVD.
-  const linalg::SvdResult& svd() const { return svd_; }
+  /// The underlying truncated SVD, as a copy. The index keeps V_k D_k,
+  /// not V_k, so V_k is recovered from it: V_k[j, i] = (V_k D_k)[j, i] /
+  /// sigma_i, within an ulp of the solver's V_k, and zero where sigma_i
+  /// is 0 or document j is tombstoned. V_k has a row per built document
+  /// (folded-in documents have none).
+  linalg::SvdResult svd() const;
 
  private:
   LsiIndex() = default;
@@ -278,12 +293,29 @@ class LsiIndex {
   LsiIndex(linalg::SvdResult svd, linalg::DenseMatrix document_vectors);
 
   void RecomputeNorms();
+  // Groups the document rows into clusters: k-means on a strided sample
+  // of unit rows, then every row joins its nearest centroid.
+  void Cluster();
+  // The cluster nearest to document j (largest cosine to its centroid)
+  // and j's angle to that centroid.
+  std::pair<std::size_t, double> NearestCluster(std::size_t j) const;
+  // ScanTopK's bounded scan of the documents (see ScanTopK).
+  std::vector<SearchResult> BoundedScan(const double* probe,
+                                        std::size_t top_k,
+                                        std::size_t exclude) const;
   // Writes row t of U_k D_k into out[0, rank()).
   void TermRow(std::size_t t, double* out) const;
+  // V_k recovered from the built rows of V_k D_k (see svd()).
+  linalg::DenseMatrix RightSingularVectors() const;
 
-  linalg::SvdResult svd_;
+  // U_k (n x k) and D_k of the truncated SVD. V_k is not kept: it is
+  // V_k D_k divided by D_k (see svd()).
+  linalg::DenseMatrix u_;
+  linalg::DenseVector singular_values_;
   // m x k = V_k D_k at build time, plus one row per folded-in document.
   linalg::DenseMatrix document_vectors_;
+  // Rows of document_vectors_ that came with the SVD (the first ones).
+  std::size_t built_documents_ = 0;
   // Cached row norms of document_vectors_ and of U_k D_k, and their
   // maxima: the cosine denominators and floors of ScanTopK. A slice's
   // max_document_norm_ is its source's.
@@ -295,6 +327,13 @@ class LsiIndex {
   // results. Not serialized (see MarkDeleted).
   std::vector<std::uint8_t> deleted_;
   std::size_t num_deleted_ = 0;
+  // Document clusters for the bounded scan: unit centroids (a row
+  // each), angular radii (no member lies farther from its centroid) and
+  // each cluster's member ids, ascending. Every document is a member of
+  // exactly one cluster; a slice keeps its source's centroids and radii.
+  linalg::DenseMatrix centroids_;
+  std::vector<double> radii_;
+  std::vector<std::vector<std::size_t>> members_;
   bool slice_ = false;
 };
 

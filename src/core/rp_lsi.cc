@@ -68,7 +68,7 @@ Result<linalg::DenseMatrix> RpLsiIndex::Reconstruct(
   }
   // B_2k = A V V^T where V (m x r) holds the kept right singular vectors
   // of the projected matrix. Compute (A V) V^T to stay O(nnz r + n m r).
-  const linalg::DenseMatrix& v = inner_.svd().v;
+  const linalg::DenseMatrix v = inner_.svd().v;
   linalg::DenseMatrix av = a.MultiplyDense(v);       // n x r.
   return linalg::MultiplyABt(av, v);                 // n x m.
 }

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <array>
+#include <cctype>
 #include <cmath>
 #include <functional>
 #include <utility>
@@ -143,6 +144,18 @@ class ScopedInflight {
  private:
   std::atomic<std::size_t>& count_;
 };
+
+/// True when the request asks that its reply not be stored
+/// ("Cache-Control: no-store", as a caching router sends it).
+bool NoStore(const HttpRequest& request) {
+  const std::string* value = request.FindHeader("cache-control");
+  if (value == nullptr) return false;
+  std::string lower = *value;
+  for (char& c : lower) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return lower.find("no-store") != std::string::npos;
+}
 
 }  // namespace
 
@@ -333,7 +346,7 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
 }
 
 Result<std::vector<std::vector<core::EngineHit>>> LsiService::RunQuery(
-    const std::vector<std::string>& queries, std::size_t top_k,
+    const std::vector<std::string>& queries, std::size_t top_k, bool store,
     std::chrono::steady_clock::time_point deadline) {
   // One snapshot answers the whole request and keys its cache entries.
   // Live mode reads the epoch *before* pinning: LiveEngine swaps in a new
@@ -377,7 +390,7 @@ Result<std::vector<std::vector<core::EngineHit>>> LsiService::RunQuery(
   // Nobody waits for a late answer, so it is not cached either.
   if (std::chrono::steady_clock::now() >= deadline) return DeadlineStatus();
   for (std::size_t j = 0; j < missed.size(); ++j) {
-    cache_.Put(keys[missed[j]], answered[j]);
+    if (store) cache_.Put(keys[missed[j]], answered[j]);
     results[missed[j]] = std::move(answered[j]);
   }
   return results;
@@ -406,12 +419,13 @@ HttpResponse LsiService::HandleQuery(
   if ((single == nullptr) == (multi == nullptr)) {
     return JsonError(400, "body must have exactly one of query | queries");
   }
+  const bool store = !NoStore(request);
 
   if (single != nullptr) {
     if (!single->is_string()) {
       return JsonError(400, "query must be a string");
     }
-    auto result = RunQuery({single->string_value()}, top_k, deadline);
+    auto result = RunQuery({single->string_value()}, top_k, store, deadline);
     if (!result.ok()) return StatusToResponse(result.status());
     JsonValue::Object reply;
     reply.emplace_back("hits", HitsToJson(result->front()));
@@ -436,7 +450,7 @@ HttpResponse LsiService::HandleQuery(
     }
     queries.push_back(q.string_value());
   }
-  auto results = RunQuery(queries, top_k, deadline);
+  auto results = RunQuery(queries, top_k, store, deadline);
   if (!results.ok()) return StatusToResponse(results.status());
   JsonValue::Array rendered;
   rendered.reserve(results->size());

@@ -65,8 +65,9 @@ class LsiService {
   LsiService(live::LiveEngine& live, ServiceOptions options = {});
 
   /// Handles one parsed request. A /query whose `deadline` has passed
-  /// before or after its engine call answers 504 and caches nothing.
-  /// Safe to call from many threads at once.
+  /// before or after its engine call answers 504 and caches nothing. A
+  /// /query sent with "Cache-Control: no-store" reads the cache but adds
+  /// nothing to it. Safe to call from many threads at once.
   HttpResponse Handle(const HttpRequest& request,
                       std::chrono::steady_clock::time_point deadline);
 
@@ -95,10 +96,11 @@ class LsiService {
 
   /// Answers the queries of one /query body on one pinned snapshot:
   /// cache hits come from the cache, and the misses go to the engine in
-  /// one call. Deadline overruns surface as a synthetic status with code
+  /// one call, whose answers are cached when `store` is set. Deadline
+  /// overruns surface as a synthetic status with code
   /// kFailedPrecondition tagged by message.
   Result<std::vector<std::vector<core::EngineHit>>> RunQuery(
-      const std::vector<std::string>& queries, std::size_t top_k,
+      const std::vector<std::string>& queries, std::size_t top_k, bool store,
       std::chrono::steady_clock::time_point deadline);
 
   const core::LsiEngine* engine_;  ///< Read-only mode; null in live mode.

@@ -84,11 +84,13 @@ bool ParseHits(const serve::JsonValue& array,
 }
 
 std::string SerializeForward(const std::string& host_header,
-                             const std::string& body, long budget_ms) {
+                             const std::string& body, long budget_ms,
+                             bool no_store) {
   std::string out = "POST /query HTTP/1.1\r\nHost: " + host_header +
                     "\r\nContent-Type: application/json\r\nContent-Length: " +
                     std::to_string(body.size()) +
                     "\r\nX-Lsi-Deadline-Ms: " + std::to_string(budget_ms) +
+                    (no_store ? "\r\nCache-Control: no-store" : "") +
                     "\r\nConnection: close\r\n\r\n" + body;
   return out;
 }
@@ -321,7 +323,11 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   const std::string forward_body =
       serve::JsonValue(std::move(forward)).Serialize();
 
-  const std::vector<ShardOutcome> outcomes = Scatter(forward_body, deadline);
+  // A query this router caches is answered from here when it repeats,
+  // so the backends need not keep their own copy of each shard's list.
+  const bool no_store = !cache_key.empty() && options_.cache.max_bytes > 0;
+  const std::vector<ShardOutcome> outcomes =
+      Scatter(forward_body, no_store, deadline);
 
   // Gather: parse each surviving shard's lists, then merge per query.
   // per_query[q][shard] is shard's ranked list for query q.
@@ -464,7 +470,8 @@ void Router::RecordOutcome(std::size_t shard, std::size_t replica, bool ok,
 }
 
 std::vector<Router::ShardOutcome> Router::Scatter(
-    const std::string& forward_body, steady_clock::time_point deadline) {
+    const std::string& forward_body, bool no_store,
+    steady_clock::time_point deadline) {
   const std::size_t n = num_shards_;
   std::vector<ShardTask> tasks(n);
   std::vector<std::string> host_headers(n);
@@ -508,7 +515,7 @@ std::vector<Router::ShardOutcome> Router::Scatter(
       const Status status = attempt->fetch.Start(
           host, port,
           SerializeForward(host + ":" + std::to_string(port), forward_body,
-                           budget));
+                           budget, no_store));
       if (!status.ok()) {
         RecordOutcome(s, replica, false, -1, 0.0);
         task.attempts.push_back(std::move(attempt));

@@ -48,6 +48,9 @@ struct RouterOptions {
   std::size_t max_top_k = 100;
   BreakerOptions breaker;
   /// Full-result cache (partials are refused by QueryCache itself).
+  /// While it is on, single-query forwards carry "Cache-Control:
+  /// no-store": a repeat is answered here, so a backend copy would
+  /// only take memory.
   serve::QueryCacheOptions cache;
   /// Seeds backoff/hedge jitter deterministically.
   std::uint64_t seed = 0x51a24d;
@@ -124,10 +127,11 @@ class Router {
   serve::HttpResponse HandleStatusz();
 
   /// Scatter-gathers `forward_body` (a /query JSON body) to every
-  /// shard; outcomes[s] reports shard s. Runs entirely on the calling
-  /// thread.
+  /// shard; outcomes[s] reports shard s. With `no_store` the requests
+  /// carry "Cache-Control: no-store", so backends do not cache the
+  /// replies. Runs entirely on the calling thread.
   std::vector<ShardOutcome> Scatter(
-      const std::string& forward_body,
+      const std::string& forward_body, bool no_store,
       std::chrono::steady_clock::time_point deadline);
 
   /// Dispatch order for a shard's replicas (healthy, then degraded;

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/engine.h"
+#include "model/separable_model.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "text/analyzer.h"
@@ -148,6 +150,42 @@ TEST(EngineStatsTest, QueryRecordsSpansAndLatencyHistogram) {
   ASSERT_TRUE(related.ok());
   EXPECT_EQ(CounterValue("lsi.engine.related_terms_calls"), 1u);
   EXPECT_EQ(SpanValue("engine.related_terms").count, 1u);
+}
+
+TEST(EngineStatsTest, ScansCountRowsScoredAndBuildTimesClustering) {
+  model::SeparableModelParams params = model::PaperExperimentParams();
+  Rng rng(404);
+  const text::Corpus corpus = model::BuildSeparableModel(params)
+                                  .value()
+                                  .GenerateCorpus(2000, rng)
+                                  .value()
+                                  .corpus;
+  obs::MetricsRegistry::Global().Reset();
+  LsiEngineOptions options;
+  options.rank = 20;
+  auto engine = LsiEngine::Build(corpus, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_GT(obs::MetricsRegistry::Global()
+                .GetGauge("lsi.index.cluster_ms")
+                .value(),
+            0.0);
+  ASSERT_TRUE(engine->RemoveDocument(7).ok());
+  const LsiIndex& index = engine->index();
+  const std::size_t candidates = index.NumDocuments() - index.NumDeleted();
+
+  // On a §4 corpus the bounded scan leaves most rows unscored.
+  std::uint64_t before = CounterValue("lsi.index.rows_scored");
+  ASSERT_TRUE(engine->MoreLikeThis(0, 10).ok());
+  const std::uint64_t bounded = CounterValue("lsi.index.rows_scored") - before;
+  EXPECT_GT(bounded, 0u);
+  EXPECT_LT(bounded, index.NumDocuments());
+
+  // The full ranking scores every candidate: all rows but the tombstone
+  // and the excluded source.
+  const linalg::DenseVector probe = index.DocumentVector(0);
+  before = CounterValue("lsi.index.rows_scored");
+  (void)index.ScanTopK(LsiIndex::Rows::kDocuments, probe.data(), 0, 0);
+  EXPECT_EQ(CounterValue("lsi.index.rows_scored") - before, candidates - 1);
 }
 
 TEST(EngineStatsTest, SuppressedLogDoesNotEvaluateStreamedArguments) {

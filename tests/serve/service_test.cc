@@ -118,6 +118,24 @@ TEST_F(LsiServiceTest, QueryMatchesDirectEngineCall) {
   }
 }
 
+TEST_F(LsiServiceTest, NoStoreQueryReadsButDoesNotFillTheCache) {
+  const std::string body = R"({"query": "repairing a car engine", "top_k": 2})";
+  HttpRequest no_store = Request("POST", "/query", body);
+  no_store.headers.emplace_back("cache-control", "No-Store");
+  HttpResponse first = Handle(no_store);
+  ASSERT_EQ(first.status, 200);
+  EXPECT_EQ(service_.cache().stats().entries, 0u);
+
+  HttpResponse stored = Handle(Request("POST", "/query", body));
+  ASSERT_EQ(stored.status, 200);
+  EXPECT_EQ(stored.body, first.body);
+  EXPECT_EQ(service_.cache().stats().entries, 1u);
+  const auto before = service_.cache().stats();
+  HttpResponse hit = Handle(no_store);
+  EXPECT_EQ(hit.body, first.body);
+  EXPECT_EQ(service_.cache().stats().hits, before.hits + 1);
+}
+
 TEST_F(LsiServiceTest, RepeatQueryIsServedFromCache) {
   const HttpRequest request = Request(
       "POST", "/query", R"({"query": "repairing a car engine", "top_k": 2})");

@@ -22,6 +22,9 @@ trap cleanup EXIT
 "$TOOL" index "$CORPUS" "$ENGINE" 10 tfidf | grep -q "indexed 45 documents"
 
 # Boot on an ephemeral port; the startup line reports the real one.
+# The log exists before the server starts, so the first poll below never
+# reads a file the background shell has not opened yet.
+: > "$LOG"
 "$TOOL" serve "$ENGINE" --port=0 --host=127.0.0.1 > "$LOG" 2>&1 &
 SERVER_PID=$!
 

@@ -110,6 +110,7 @@ class Backend {
   void Start() { ASSERT_TRUE(server_->Start().ok()); }
   void Stop() { server_->Stop(); }
   int port() const { return server_->port(); }
+  serve::LsiService& service() { return *service_; }
   std::string address() const {
     return "127.0.0.1:" + std::to_string(server_->port());
   }
@@ -213,6 +214,49 @@ TEST_F(RouterTest, FullResultIsByteIdenticalToUnshardedService) {
   EXPECT_EQ(multi_response.body, BaselineBody(multi));
 
   router.Stop();
+  b0.Stop();
+  b1.Stop();
+}
+
+// A caching router answers repeats itself, so its single-query forwards
+// ask the backends not to store their lists; batches, which the router
+// does not cache, and forwards from a router without a cache are stored.
+TEST_F(RouterTest, CachingRouterAsksBackendsNotToStore) {
+  Backend b0(set_->shard(0));
+  Backend b1(set_->shard(1));
+  b0.Start();
+  b1.Start();
+  auto entries = [&] {
+    return b0.service().cache().stats().entries +
+           b1.service().cache().stats().entries;
+  };
+  const std::string single =
+      R"({"query": "astronauts near the moon", "top_k": 3})";
+  {
+    RouterOptions options = BaseRouterOptions();
+    options.shards = {{b0.address()}, {b1.address()}};
+    Router router(std::move(options));
+    ASSERT_TRUE(router.Start().ok());
+    ASSERT_EQ(router.Handle(QueryRequest(single), Soon()).status, 200);
+    EXPECT_EQ(entries(), 0u);
+    const std::string multi =
+        R"({"queries": ["garlic pasta sauce", "repairing a car engine"], "top_k": 2})";
+    ASSERT_EQ(router.Handle(QueryRequest(multi), Soon()).status, 200);
+    EXPECT_EQ(entries(), 4u);
+    router.Stop();
+  }
+  {
+    RouterOptions options = BaseRouterOptions();
+    options.shards = {{b0.address()}, {b1.address()}};
+    options.cache.max_bytes = 0;
+    Router router(std::move(options));
+    ASSERT_TRUE(router.Start().ok());
+    serve::HttpResponse response = router.Handle(QueryRequest(single), Soon());
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(response.body, BaselineBody(single));
+    EXPECT_EQ(entries(), 6u);
+    router.Stop();
+  }
   b0.Stop();
   b1.Stop();
 }
