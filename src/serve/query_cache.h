@@ -1,6 +1,7 @@
 #ifndef LSI_SERVE_QUERY_CACHE_H_
 #define LSI_SERVE_QUERY_CACHE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -63,9 +64,12 @@ class QueryCache {
   /// (subset-of-shards) result: those are refused admission outright —
   /// counted as lsi.serve.cache.partial_rejected — so a brownout never
   /// poisons the cache with partial answers that would outlive the
-  /// outage.
+  /// outage. `epoch` is the live snapshot the answer came from (0 for a
+  /// fixed engine): the first Put under a newer epoch drops every entry
+  /// of older epochs, and a Put under an epoch older than the newest
+  /// one stored is refused — keys of superseded epochs can never hit.
   void Put(const std::string& key, const std::vector<core::EngineHit>& hits,
-           bool is_partial = false);
+           bool is_partial = false, std::uint64_t epoch = 0);
 
   /// Drops every entry (budget accounting resets too).
   void Clear();
@@ -99,16 +103,23 @@ class QueryCache {
     std::unordered_map<std::string, std::list<Entry>::iterator> index
         LSI_GUARDED_BY(mutex);
     std::size_t bytes LSI_GUARDED_BY(mutex) = 0;
+    /// Epoch of every entry in this shard.
+    std::uint64_t epoch LSI_GUARDED_BY(mutex) = 0;
   };
 
   Shard& ShardFor(const std::string& key);
   std::chrono::steady_clock::time_point Now() const;
   void EraseLocked(Shard& shard, std::list<Entry>::iterator it)
       LSI_REQUIRES(shard.mutex);
+  /// Empties `shard` if its entries predate `epoch`, and moves it there.
+  void AdvanceEpochLocked(Shard& shard, std::uint64_t epoch)
+      LSI_REQUIRES(shard.mutex);
 
   QueryCacheOptions options_;
   std::size_t shard_budget_ = 0;
   std::vector<Shard> shards_;
+  /// Newest epoch any Put named; shards catch up under their own locks.
+  std::atomic<std::uint64_t> newest_epoch_{0};
 
   // Registry handles resolved once in the constructor; increments are
   // lock-free afterwards.

@@ -4,11 +4,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "common/fault.h"
@@ -114,6 +116,15 @@ Status HttpServer::Start() {
     port_ = ntohs(bound.sin_port);
   }
 
+  yield_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (yield_fd_ < 0) {
+    const int eventfd_errno = errno;
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return Status::Internal(std::string("eventfd: ") +
+                            std::strerror(eventfd_errno));
+  }
+
   started_ = true;
   stopping_.store(false, std::memory_order_relaxed);
   const std::size_t workers = options_.threads == 0 ? 1 : options_.threads;
@@ -140,6 +151,12 @@ void HttpServer::Stop() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
+  }
+  {
+    MutexLock lock(queue_mutex_);
+    ::close(yield_fd_);
+    yield_fd_ = -1;
+    yield_signaled_ = false;
   }
   started_ = false;
 }
@@ -172,6 +189,7 @@ void HttpServer::AcceptLoop() {
       if (pending_fds_.size() < options_.max_queued_connections) {
         pending_fds_.push_back(fd);
         depth.Set(static_cast<double>(pending_fds_.size()));
+        UpdateYieldSignalLocked();
         admit = true;
       }
     }
@@ -192,27 +210,56 @@ void HttpServer::AcceptLoop() {
   }
 }
 
-void HttpServer::WorkerLoop() {
-  obs::Gauge& depth =
+void HttpServer::UpdateYieldSignalLocked() {
+  const bool want = pending_fds_.size() > waiting_workers_;
+  if (want == yield_signaled_) return;
+  // eventfd semantics: a write makes it readable, one read resets it.
+  std::uint64_t value = 1;
+  const ssize_t n = want ? ::write(yield_fd_, &value, sizeof value)
+                         : ::read(yield_fd_, &value, sizeof value);
+  if (n == static_cast<ssize_t>(sizeof value)) yield_signaled_ = want;
+}
+
+int HttpServer::PopPendingLocked() {
+  static obs::Gauge& depth =
       obs::MetricsRegistry::Global().GetGauge("lsi.serve.queue_depth");
+  const int fd = pending_fds_.front();
+  pending_fds_.pop_front();
+  depth.Set(static_cast<double>(pending_fds_.size()));
+  UpdateYieldSignalLocked();
+  return fd;
+}
+
+int HttpServer::TakeQueuedForYield() {
+  MutexLock lock(queue_mutex_);
+  // A free worker will take the queued connection: keep ours. (The
+  // signal was stale or another idle worker got here first.)
+  if (pending_fds_.size() <= waiting_workers_) {
+    UpdateYieldSignalLocked();
+    return -1;
+  }
+  return PopPendingLocked();
+}
+
+void HttpServer::WorkerLoop() {
   while (true) {
     int fd = -1;
     {
       MutexLock lock(queue_mutex_);
       while (!stopping_.load(std::memory_order_relaxed) &&
              pending_fds_.empty()) {
+        ++waiting_workers_;
         queue_cv_.Wait(lock);
+        --waiting_workers_;
       }
       if (pending_fds_.empty()) return;  // Stopping and fully drained.
-      fd = pending_fds_.front();
-      pending_fds_.pop_front();
-      depth.Set(static_cast<double>(pending_fds_.size()));
+      fd = PopPendingLocked();
     }
-    ServeConnection(fd);
+    while (fd >= 0) fd = ServeConnection(fd);
   }
 }
 
-void HttpServer::ServeConnection(int fd) {
+int HttpServer::ServeConnection(int fd) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter& parse_errors = registry.GetCounter("lsi.serve.parse_errors");
   obs::Counter& deadline_header =
@@ -220,6 +267,7 @@ void HttpServer::ServeConnection(int fd) {
   obs::Histogram& latency =
       registry.GetHistogram("lsi.serve.request.latency_ms");
   obs::Gauge& in_flight = registry.GetGauge("lsi.serve.in_flight");
+  obs::Counter& idle_yields = registry.GetCounter("lsi.serve.idle_yields");
 
   const int enable = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof enable);
@@ -233,36 +281,50 @@ void HttpServer::ServeConnection(int fd) {
     // pipelined one from the previous iteration's reads).
     while (parser.state() == HttpParser::State::kNeedMore) {
       const bool stopping = stopping_.load(std::memory_order_relaxed);
+      const bool idle = !parser.HasPartialData();
       // Drain rule: an idle keep-alive connection (no partial request
       // buffered) is closed as soon as we are stopping; a connection
       // mid-request gets to finish sending it.
-      if (stopping && !parser.HasPartialData()) {
+      if (stopping && idle) {
         ::close(fd);
-        return;
+        return -1;
       }
-      pollfd pfd{fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, kPollTickMs);
+      // An idle connection also watches the yield signal; one
+      // mid-request does not, so a set signal cannot spin its poll.
+      pollfd pfds[2] = {{fd, POLLIN, 0}, {yield_fd_, POLLIN, 0}};
+      const int ready = ::poll(pfds, idle ? 2 : 1, kPollTickMs);
       if (ready < 0 && errno != EINTR) {
         ::close(fd);
-        return;
+        return -1;
       }
       if (ready <= 0) {
-        const auto idle = std::chrono::steady_clock::now() - last_activity;
-        if (idle >= options_.idle_timeout) {
+        const auto quiet = std::chrono::steady_clock::now() - last_activity;
+        if (quiet >= options_.idle_timeout) {
           ::close(fd);  // Stalled sender or abandoned keep-alive.
-          return;
+          return -1;
+        }
+        continue;
+      }
+      if (pfds[0].revents == 0) {
+        // Only the yield signal fired: give this idle connection up for
+        // a queued one, if a free worker is not already taking it.
+        const int next = TakeQueuedForYield();
+        if (next >= 0) {
+          idle_yields.Increment();
+          ::close(fd);
+          return next;
         }
         continue;
       }
       const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
       if (n == 0) {  // Peer closed.
         ::close(fd);
-        return;
+        return -1;
       }
       if (n < 0) {
         if (errno == EINTR) continue;
         ::close(fd);
-        return;
+        return -1;
       }
       last_activity = std::chrono::steady_clock::now();
       parser.Feed(std::string_view(buffer, static_cast<std::size_t>(n)));
@@ -276,7 +338,7 @@ void HttpServer::ServeConnection(int fd) {
       CountResponse(response);
       SendAll(fd, SerializeResponse(response, false));
       ::close(fd);
-      return;
+      return -1;
     }
 
     const HttpRequest request = parser.TakeRequest();
@@ -316,12 +378,12 @@ void HttpServer::ServeConnection(int fd) {
 
     if (!SendAll(fd, SerializeResponse(response, keep_alive))) {
       ::close(fd);
-      return;
+      return -1;
     }
 
     if (!keep_alive || response.close) {
       ::close(fd);
-      return;
+      return -1;
     }
     last_activity = std::chrono::steady_clock::now();
   }

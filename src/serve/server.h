@@ -44,11 +44,20 @@ struct ServerOptions {
 /// A dependency-free POSIX-socket HTTP/1.1 server.
 ///
 /// Threading model: one accept thread pushes connections into a bounded
-/// queue drained by a fixed set of worker threads; each worker owns one
+/// queue drained by a fixed set of worker threads; each worker serves one
 /// connection at a time and loops request -> handler -> response over
 /// keep-alive. There is deliberately no per-connection thread creation
 /// and no event loop — the bounded queue gives natural admission
 /// control, and each worker runs its requests' engine work itself.
+///
+/// Idle-yield rule: a worker holds its connection only while that
+/// connection is busy. When more connections are queued than workers
+/// are free, a server-wide eventfd turns readable; a worker whose
+/// connection is idle (no partial request buffered) then closes it and
+/// serves the oldest queued connection instead, so idle keep-alive
+/// clients cannot starve new ones for the idle timeout. The hand-over
+/// pops the queue under its mutex, so one queued client costs exactly
+/// one idle connection. A connection mid-request is never given up.
 ///
 /// Overload and failure semantics:
 ///   - queue full                -> 503 + Retry-After, connection closed
@@ -65,8 +74,8 @@ struct ServerOptions {
 /// after each engine call).
 ///
 /// Emits lsi.serve.{connections,requests.*,admission_rejected,
-/// parse_errors} counters, the lsi.serve.request.latency_ms histogram,
-/// and lsi.serve.{queue_depth,in_flight} gauges.
+/// parse_errors,idle_yields} counters, the lsi.serve.request.latency_ms
+/// histogram, and lsi.serve.{queue_depth,in_flight} gauges.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(
@@ -95,7 +104,16 @@ class HttpServer {
  private:
   void AcceptLoop();
   void WorkerLoop();
-  void ServeConnection(int fd);
+  /// Serves `fd` until it closes; returns the queued connection the
+  /// worker took over by the idle-yield rule, or -1.
+  int ServeConnection(int fd);
+  /// Pops the oldest queued connection for a worker whose connection is
+  /// idle, or -1 when the free workers can take every queued one.
+  int TakeQueuedForYield();
+  int PopPendingLocked() LSI_REQUIRES(queue_mutex_);
+  /// Makes yield_fd_ readable exactly while more connections are queued
+  /// than workers wait for one.
+  void UpdateYieldSignalLocked() LSI_REQUIRES(queue_mutex_);
 
   Handler handler_;
   ServerOptions options_;
@@ -111,6 +129,13 @@ class HttpServer {
       LSI_LOCK_RANK("serve.server.queue", lock_rank::kServeServerQueue)};
   CondVar queue_cv_;
   std::deque<int> pending_fds_ LSI_GUARDED_BY(queue_mutex_);
+  /// Workers blocked on queue_cv_, free to take a queued connection.
+  std::size_t waiting_workers_ LSI_GUARDED_BY(queue_mutex_) = 0;
+  bool yield_signaled_ LSI_GUARDED_BY(queue_mutex_) = false;
+  /// The idle-yield eventfd; created by Start(), closed by Stop() after
+  /// the workers join. Its counter changes only under queue_mutex_;
+  /// idle workers poll it without the lock.
+  int yield_fd_ = -1;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

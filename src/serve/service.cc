@@ -347,15 +347,16 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
 
 Result<std::vector<std::vector<core::EngineHit>>> LsiService::RunQuery(
     const std::vector<std::string>& queries, std::size_t top_k, bool store,
-    std::chrono::steady_clock::time_point deadline) {
+    std::chrono::steady_clock::time_point deadline, std::uint64_t* epoch) {
   // One snapshot answers the whole request and keys its cache entries.
   // Live mode reads the epoch *before* pinning: LiveEngine swaps in a new
   // snapshot before it bumps the epoch, so the pinned engine is at least
   // as new as the epoch the keys name, and a key never names an epoch
-  // newer than the engine that answered it. Keys from superseded epochs
-  // age out of the LRU unread.
+  // newer than the engine that answered it. Storing under a newer epoch
+  // drops the superseded epochs' entries (QueryCache::Put).
+  *epoch = live_ != nullptr ? live_->epoch() : 0;
   const std::string epoch_tag =
-      live_ != nullptr ? "|e" + std::to_string(live_->epoch()) : "";
+      live_ != nullptr ? "|e" + std::to_string(*epoch) : "";
   const EngineSnapshot engine = CurrentEngine();
 
   std::vector<std::vector<core::EngineHit>> results(queries.size());
@@ -390,7 +391,9 @@ Result<std::vector<std::vector<core::EngineHit>>> LsiService::RunQuery(
   // Nobody waits for a late answer, so it is not cached either.
   if (std::chrono::steady_clock::now() >= deadline) return DeadlineStatus();
   for (std::size_t j = 0; j < missed.size(); ++j) {
-    if (store) cache_.Put(keys[missed[j]], answered[j]);
+    if (store) {
+      cache_.Put(keys[missed[j]], answered[j], /*is_partial=*/false, *epoch);
+    }
     results[missed[j]] = std::move(answered[j]);
   }
   return results;
@@ -420,16 +423,27 @@ HttpResponse LsiService::HandleQuery(
     return JsonError(400, "body must have exactly one of query | queries");
   }
   const bool store = !NoStore(request);
+  std::uint64_t epoch = 0;
+  // Live replies name their epoch, so a caching router can tell that
+  // they will change with the next write.
+  auto tagged = [&](HttpResponse response) {
+    if (live_ != nullptr) {
+      response.extra_headers.emplace_back("X-Lsi-Epoch",
+                                          std::to_string(epoch));
+    }
+    return response;
+  };
 
   if (single != nullptr) {
     if (!single->is_string()) {
       return JsonError(400, "query must be a string");
     }
-    auto result = RunQuery({single->string_value()}, top_k, store, deadline);
+    auto result =
+        RunQuery({single->string_value()}, top_k, store, deadline, &epoch);
     if (!result.ok()) return StatusToResponse(result.status());
     JsonValue::Object reply;
     reply.emplace_back("hits", HitsToJson(result->front()));
-    return JsonOk(JsonValue(std::move(reply)).Serialize());
+    return tagged(JsonOk(JsonValue(std::move(reply)).Serialize()));
   }
 
   if (!multi->is_array()) {
@@ -450,7 +464,7 @@ HttpResponse LsiService::HandleQuery(
     }
     queries.push_back(q.string_value());
   }
-  auto results = RunQuery(queries, top_k, store, deadline);
+  auto results = RunQuery(queries, top_k, store, deadline, &epoch);
   if (!results.ok()) return StatusToResponse(results.status());
   JsonValue::Array rendered;
   rendered.reserve(results->size());
@@ -459,7 +473,7 @@ HttpResponse LsiService::HandleQuery(
   }
   JsonValue::Object reply;
   reply.emplace_back("results", JsonValue(std::move(rendered)));
-  return JsonOk(JsonValue(std::move(reply)).Serialize());
+  return tagged(JsonOk(JsonValue(std::move(reply)).Serialize()));
 }
 
 HttpResponse LsiService::HandleRelated(const HttpRequest& request) {

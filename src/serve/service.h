@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,7 +54,9 @@ struct ServiceOptions {
 ///   POST /update   {"name": "...", "text": "..."}  -> {"seq", "document", "removed", "epoch"}
 /// Queries in live mode run against epoch snapshots (never blocking on
 /// writers), and cache keys embed the epoch so a publish invalidates
-/// naturally.
+/// naturally; the first entry stored under a newer epoch drops the
+/// older epochs' entries. Live /query replies carry "X-Lsi-Epoch: <n>",
+/// which tells a caching router not to keep them.
 class LsiService {
  public:
   LsiService(const core::LsiEngine& engine, ServiceOptions options = {});
@@ -96,12 +99,13 @@ class LsiService {
 
   /// Answers the queries of one /query body on one pinned snapshot:
   /// cache hits come from the cache, and the misses go to the engine in
-  /// one call, whose answers are cached when `store` is set. Deadline
+  /// one call, whose answers are cached when `store` is set. Live mode
+  /// sets `*epoch` to the epoch the answers' cache keys name. Deadline
   /// overruns surface as a synthetic status with code
   /// kFailedPrecondition tagged by message.
   Result<std::vector<std::vector<core::EngineHit>>> RunQuery(
       const std::vector<std::string>& queries, std::size_t top_k, bool store,
-      std::chrono::steady_clock::time_point deadline);
+      std::chrono::steady_clock::time_point deadline, std::uint64_t* epoch);
 
   const core::LsiEngine* engine_;  ///< Read-only mode; null in live mode.
   live::LiveEngine* live_;         ///< Live mode; null in read-only mode.

@@ -48,13 +48,7 @@ Status Fetch::Start(const std::string& host, int port, std::string request) {
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
   const int enable = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof enable);
-
-  outgoing_ = std::move(request);
-  incoming_.clear();
-  head_end_ = std::string::npos;
-  content_length_ = 0;
-  response_ = Response{};
-  error_.clear();
+  Reset(std::move(request), /*reused=*/false);
 
   const int rc =
       ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
@@ -66,6 +60,25 @@ Status Fetch::Start(const std::string& host, int port, std::string request) {
     Fail(std::string("connect: ") + std::strerror(errno));
   }
   return Status::OK();
+}
+
+void Fetch::StartOn(int fd, std::string request) {
+  Abort();
+  fd_ = fd;
+  Reset(std::move(request), /*reused=*/true);
+  state_ = State::kSending;
+}
+
+void Fetch::Reset(std::string request, bool reused) {
+  reused_ = reused;
+  outgoing_ = std::move(request);
+  incoming_.clear();
+  head_end_ = std::string::npos;
+  content_length_ = 0;
+  has_content_length_ = false;
+  connection_close_ = false;
+  response_ = Response{};
+  error_.clear();
 }
 
 short Fetch::poll_events() const {
@@ -122,8 +135,12 @@ void Fetch::Step() {
         }
         if (TryParse()) {
           state_ = State::kDone;
-          ::close(fd_);
-          fd_ = -1;
+          // Keep the socket only if the next response on it cannot be
+          // confused with this one.
+          const bool reusable =
+              has_content_length_ && !connection_close_ &&
+              incoming_.size() == head_end_ + 4 + content_length_;
+          if (!reusable) CloseSocket();
           return;
         }
         continue;
@@ -166,9 +183,16 @@ bool Fetch::TryParse() {
                                                        line_end - line_start));
       if (line.compare(0, 15, "content-length:") == 0) {
         content_length_ = std::strtoul(line.c_str() + 15, nullptr, 10);
+        has_content_length_ = true;
       } else if (line.compare(0, 12, "retry-after:") == 0) {
         response_.retry_after_ms =
             serve::ParseRetryAfterMs(std::string_view(line).substr(12));
+      } else if (line.compare(0, 11, "connection:") == 0) {
+        connection_close_ = line.find("close", 11) != std::string::npos;
+      } else if (line.compare(0, 12, "x-lsi-epoch:") == 0) {
+        char* end = nullptr;
+        const long long epoch = std::strtoll(line.c_str() + 12, &end, 10);
+        if (end != line.c_str() + 12 && epoch >= 0) response_.epoch = epoch;
       }
       line_start = line_end + 2;
     }
@@ -179,20 +203,31 @@ bool Fetch::TryParse() {
   return true;
 }
 
-void Fetch::Fail(std::string message) {
-  error_ = std::move(message);
+int Fetch::ReleaseSocket() {
+  if (state_ != State::kDone) {
+    CloseSocket();
+    return -1;
+  }
+  const int fd = fd_;
+  fd_ = -1;
+  return fd;
+}
+
+void Fetch::CloseSocket() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void Fetch::Fail(std::string message) {
+  error_ = std::move(message);
+  CloseSocket();
   state_ = State::kFailed;
 }
 
 void Fetch::Abort() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  CloseSocket();
   state_ = State::kIdle;
   outgoing_.clear();
   incoming_.clear();

@@ -1,6 +1,7 @@
 #include "shard/router.h"
 
 #include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -83,6 +84,7 @@ bool ParseHits(const serve::JsonValue& array,
   return true;
 }
 
+/// A keep-alive (HTTP/1.1 default) /query forward.
 std::string SerializeForward(const std::string& host_header,
                              const std::string& body, long budget_ms,
                              bool no_store) {
@@ -91,7 +93,7 @@ std::string SerializeForward(const std::string& host_header,
                     std::to_string(body.size()) +
                     "\r\nX-Lsi-Deadline-Ms: " + std::to_string(budget_ms) +
                     (no_store ? "\r\nCache-Control: no-store" : "") +
-                    "\r\nConnection: close\r\n\r\n" + body;
+                    "\r\n\r\n" + body;
   return out;
 }
 
@@ -112,6 +114,7 @@ struct Attempt {
   Fetch fetch;
   std::size_t replica = 0;
   Timer timer;
+  bool stale_retried = false;  // Already replayed once after a stale socket.
 };
 
 /// Per-shard scatter bookkeeping for one request.
@@ -123,6 +126,7 @@ struct ShardTask {
   bool hedged = false;
   bool done = false;
   bool ok = false;
+  bool live = false;
   std::string body;
 };
 
@@ -138,6 +142,9 @@ Router::Router(RouterOptions options)
   partials_ = &registry.GetCounter("lsi.shard.partials");
   failures_ = &registry.GetCounter("lsi.shard.failures");
   probes_ = &registry.GetCounter("lsi.shard.probes");
+  connects_ = &registry.GetCounter("lsi.shard.connects");
+  pool_reuses_ = &registry.GetCounter("lsi.shard.pool.reuses");
+  stale_retries_ = &registry.GetCounter("lsi.shard.pool.stale_retries");
 
   Rng rng(options_.seed);
   MutexLock lock(mutex_);
@@ -194,11 +201,14 @@ Status Router::Start() {
 }
 
 void Router::Stop() {
-  if (!started_) return;
   {
     MutexLock lock(mutex_);
-    stopping_ = true;
+    if (started_) stopping_ = true;
+    for (ShardGroup& group : shards_) {
+      for (Replica& replica : group.replicas) CloseIdleLocked(replica);
+    }
   }
+  if (!started_) return;
   probe_cv_.NotifyAll();
   if (prober_.joinable()) prober_.join();
   started_ = false;
@@ -325,9 +335,15 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
 
   // A query this router caches is answered from here when it repeats,
   // so the backends need not keep their own copy of each shard's list.
-  const bool no_store = !cache_key.empty() && options_.cache.max_bytes > 0;
+  // Live backends' lists are never cached here (see below), so they
+  // keep their own.
+  const bool no_store = !cache_key.empty() && options_.cache.max_bytes > 0 &&
+                        !live_backends_.load(std::memory_order_relaxed);
   const std::vector<ShardOutcome> outcomes =
       Scatter(forward_body, no_store, deadline);
+  bool live = false;
+  for (const ShardOutcome& outcome : outcomes) live |= outcome.live;
+  if (live) live_backends_.store(true, std::memory_order_relaxed);
 
   // Gather: parse each surviving shard's lists, then merge per query.
   // per_query[q][shard] is shard's ranked list for query q.
@@ -385,7 +401,9 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   }
 
   if (partial) partials_->Increment();
-  if (single != nullptr) {
+  // A live backend's answer changes with its next write, which this key
+  // cannot see: only results from static backends are cached.
+  if (single != nullptr && !live) {
     // The cache admission check is the safety net here: a partial Put
     // is refused, so a brownout's subset answer can never be replayed
     // as a full one after the shard heals.
@@ -464,9 +482,25 @@ void Router::RecordOutcome(std::size_t shard, std::size_t replica, bool ok,
     group.latency_hist->Observe(latency_ms);
   } else {
     target.breaker.OnFailure(retry_after_ms, steady_clock::now());
+    CloseIdleLocked(target);
   }
   target.state_gauge->Set(
       static_cast<double>(BreakerStateValue(target.breaker.state())));
+}
+
+void Router::ReturnIdle(std::size_t shard, std::size_t replica, int fd) {
+  if (fd < 0) return;
+  MutexLock lock(mutex_);
+  if (stopping_) {
+    ::close(fd);
+    return;
+  }
+  shards_[shard].replicas[replica].idle_fds.push_back(fd);
+}
+
+void Router::CloseIdleLocked(Replica& replica) {
+  for (const int fd : replica.idle_fds) ::close(fd);
+  replica.idle_fds.clear();
 }
 
 std::vector<Router::ShardOutcome> Router::Scatter(
@@ -483,6 +517,34 @@ std::vector<Router::ShardOutcome> Router::Scatter(
     return left.count() > 0 ? static_cast<long>(left.count()) : 0;
   };
 
+  // Sends the forward for `attempt` on an idle pooled socket of its
+  // replica, or on a new connection when the pool is empty or `fresh`.
+  auto dispatch = [&](std::size_t s, Attempt& attempt, bool fresh) {
+    std::string host;
+    int port = 0;
+    int pooled = -1;
+    {
+      MutexLock lock(mutex_);
+      Replica& target = shards_[s].replicas[attempt.replica];
+      host = target.host;
+      port = target.port;
+      if (!fresh && !target.idle_fds.empty()) {
+        pooled = target.idle_fds.back();
+        target.idle_fds.pop_back();
+      }
+    }
+    std::string request =
+        SerializeForward(host + ":" + std::to_string(port), forward_body,
+                         remaining_ms(steady_clock::now()), no_store);
+    if (pooled >= 0) {
+      pool_reuses_->Increment();
+      attempt.fetch.StartOn(pooled, std::move(request));
+      return Status::OK();
+    }
+    connects_->Increment();
+    return attempt.fetch.Start(host, port, std::move(request));
+  };
+
   // Starts the next attempt in `task`'s plan. A synchronous dispatch
   // failure (fault point, bad address) occupies its attempt slot and
   // falls straight through to the next replica, so "retry on failure"
@@ -493,31 +555,18 @@ std::vector<Router::ShardOutcome> Router::Scatter(
     ShardTask& task = tasks[s];
     while (task.attempts.size() < 2 &&
            task.attempts.size() < task.plan.size()) {
-      const std::size_t replica = task.plan[task.attempts.size()];
-      std::string host;
-      int port = 0;
-      {
-        MutexLock lock(mutex_);
-        host = shards_[s].replicas[replica].host;
-        port = shards_[s].replicas[replica].port;
-      }
       auto attempt = std::make_unique<Attempt>();
-      attempt->replica = replica;
+      attempt->replica = task.plan[task.attempts.size()];
       // Per-dispatch fault point: an armed dispatch behaves like an
       // unreachable backend, which is how the torture drill cuts one
       // shard off without killing its process.
       if (LSI_FAULT_POINT("shard.query.dispatch")) {
-        RecordOutcome(s, replica, false, -1, 0.0);
+        RecordOutcome(s, attempt->replica, false, -1, 0.0);
         task.attempts.push_back(std::move(attempt));  // Occupies the slot.
         continue;
       }
-      const long budget = remaining_ms(steady_clock::now());
-      const Status status = attempt->fetch.Start(
-          host, port,
-          SerializeForward(host + ":" + std::to_string(port), forward_body,
-                           budget, no_store));
-      if (!status.ok()) {
-        RecordOutcome(s, replica, false, -1, 0.0);
+      if (!dispatch(s, *attempt, /*fresh=*/false).ok()) {
+        RecordOutcome(s, attempt->replica, false, -1, 0.0);
         task.attempts.push_back(std::move(attempt));
         continue;
       }
@@ -619,9 +668,11 @@ std::vector<Router::ShardOutcome> Router::Scatter(
             if (response.status == 200) {
               task.done = true;
               task.ok = true;
+              task.live = response.epoch >= 0;
               task.body = response.body;
               RecordOutcome(s, attempt.replica, true, -1,
                             attempt.timer.ElapsedMillis());
+              ReturnIdle(s, attempt.replica, attempt.fetch.ReleaseSocket());
               for (auto& other : task.attempts) {
                 if (other.get() != &attempt) other->fetch.Abort();
               }
@@ -637,6 +688,18 @@ std::vector<Router::ShardOutcome> Router::Scatter(
             break;
           }
           case Fetch::State::kFailed:
+            if (attempt.fetch.stale() && !attempt.stale_retried) {
+              // The backend had closed the pooled socket. The forward is
+              // a read, so replay it once on a new connection, in the
+              // same attempt slot and without a breaker failure.
+              attempt.stale_retried = true;
+              stale_retries_->Increment();
+              (void)dispatch(s, attempt, /*fresh=*/true);
+              if (attempt.fetch.active()) {
+                any_active = true;
+                break;
+              }
+            }
             RecordOutcome(s, attempt.replica, false, -1, 0.0);
             attempt.fetch.Abort();
             if (task.attempts.size() < 2 &&
@@ -676,6 +739,7 @@ std::vector<Router::ShardOutcome> Router::Scatter(
       task.done = true;
     }
     outcomes[s].ok = task.ok;
+    outcomes[s].live = task.live;
     outcomes[s].body = std::move(task.body);
   }
   return outcomes;
@@ -757,6 +821,7 @@ void Router::ProbeNow() {
         replica.breaker.OnSuccess();
       } else {
         replica.breaker.OnFailure(retry_after_ms, steady_clock::now());
+        CloseIdleLocked(replica);
       }
       replica.state_gauge->Set(static_cast<double>(
           BreakerStateValue(replica.breaker.state())));
@@ -801,6 +866,9 @@ serve::HttpResponse Router::HandleStatusz() {
             "consecutive_failures",
             serve::JsonValue(static_cast<double>(
                 replica.breaker.consecutive_failures())));
+        fields.emplace_back(
+            "idle_connections",
+            serve::JsonValue(static_cast<double>(replica.idle_fds.size())));
         replicas.emplace_back(std::move(fields));
       }
       block.emplace_back("replicas",
@@ -826,6 +894,14 @@ serve::HttpResponse Router::HandleStatusz() {
       serve::JsonValue(static_cast<double>(failures_->value())));
   counters.emplace_back(
       "probes", serve::JsonValue(static_cast<double>(probes_->value())));
+  counters.emplace_back(
+      "connects", serve::JsonValue(static_cast<double>(connects_->value())));
+  counters.emplace_back(
+      "pool_reuses",
+      serve::JsonValue(static_cast<double>(pool_reuses_->value())));
+  counters.emplace_back(
+      "stale_retries",
+      serve::JsonValue(static_cast<double>(stale_retries_->value())));
   status.emplace_back("scatter", serve::JsonValue(std::move(counters)));
   return JsonOk(serve::JsonValue(std::move(status)).Serialize());
 }

@@ -1,6 +1,7 @@
 #ifndef LSI_SHARD_ROUTER_H_
 #define LSI_SHARD_ROUTER_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -72,8 +73,22 @@ struct RouterOptions {
 /// with capped-jittered-backoff re-probes) keep dead backends out of
 /// the scatter path.
 ///
+/// Forwards travel over a per-replica pool of idle keep-alive sockets:
+/// a fetch takes one (or connects when the pool is empty) and hands it
+/// back after an exactly framed 200. A pooled socket that fails before
+/// the first response byte (the backend closed it) is replayed once on
+/// a fresh connection, which is neither a breaker failure nor a new
+/// attempt; a breaker failure closes the replica's idle sockets. The
+/// pool never holds more sockets than the router's peak concurrent
+/// scatters. Health probes always connect afresh.
+///
+/// Replies from live backends carry X-Lsi-Epoch; the router never
+/// caches a result built from one, since a later write on the backend
+/// would not invalidate it.
+///
 /// Emits lsi.shard.* metrics: requests/hedges/partials/failures/probes
-/// counters, per-shard lsi.shard.<s>.latency_ms histograms, and
+/// counters, the connects/pool.reuses/pool.stale_retries counters of
+/// the forward path, per-shard lsi.shard.<s>.latency_ms histograms, and
 /// per-replica lsi.shard.breaker.<s>.<r> state gauges (0 healthy,
 /// 1 degraded, 2 ejected).
 class Router {
@@ -86,7 +101,8 @@ class Router {
   /// Validates the shard list and starts the health prober.
   Status Start();
 
-  /// Stops the prober; idempotent, also run by the destructor.
+  /// Stops the prober and closes every pooled socket; idempotent, also
+  /// run by the destructor.
   void Stop();
 
   /// HttpServer-compatible request handler.
@@ -107,6 +123,8 @@ class Router {
     int port = 0;
     Breaker breaker;
     obs::Gauge* state_gauge = nullptr;
+    /// Idle keep-alive sockets to this replica, most recently used last.
+    std::vector<int> idle_fds;
   };
   struct ShardGroup {
     std::vector<Replica> replicas;
@@ -119,6 +137,8 @@ class Router {
   struct ShardOutcome {
     bool ok = false;
     std::string body;
+    /// The reply came from a live backend (it carried X-Lsi-Epoch).
+    bool live = false;
   };
 
   serve::HttpResponse HandleQuery(
@@ -140,6 +160,10 @@ class Router {
                                         double* hedge_delay_ms);
   void RecordOutcome(std::size_t shard, std::size_t replica, bool ok,
                      long retry_after_ms, double latency_ms);
+  /// Pools `fd` (if >= 0) as an idle socket of the replica; closes it
+  /// instead once the router is stopping.
+  void ReturnIdle(std::size_t shard, std::size_t replica, int fd);
+  static void CloseIdleLocked(Replica& replica);
   void ProbeLoop();
 
   RouterOptions options_;
@@ -155,12 +179,18 @@ class Router {
   std::size_t num_shards_ = 0;  // == shards_.size(), immutable after ctor.
   bool started_ = false;
   std::thread prober_;
+  /// Set once any backend reply carries X-Lsi-Epoch. Live backends key
+  /// their caches by epoch, so forwards stop asking them not to store.
+  std::atomic<bool> live_backends_{false};
 
   obs::Counter* requests_ = nullptr;
   obs::Counter* hedges_ = nullptr;
   obs::Counter* partials_ = nullptr;
   obs::Counter* failures_ = nullptr;
   obs::Counter* probes_ = nullptr;
+  obs::Counter* connects_ = nullptr;
+  obs::Counter* pool_reuses_ = nullptr;
+  obs::Counter* stale_retries_ = nullptr;
 };
 
 }  // namespace lsi::shard

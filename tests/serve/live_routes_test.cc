@@ -3,12 +3,14 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
 #include "core/engine.h"
 #include "live/live_engine.h"
+#include "obs/metrics.h"
 #include "serve/json.h"
 #include "serve/service.h"
 #include "text/analyzer.h"
@@ -236,6 +238,59 @@ TEST_F(LiveRoutesTest, QueryCacheKeysRotateWithEpoch) {
   EXPECT_NE(after.body.find("comet1"), std::string::npos) << after.body;
 }
 
+// Every publish starts a new epoch, and keys of older epochs can never
+// hit again: the cache must hold only the newest epoch's entries, not
+// fill its byte budget with dead ones.
+TEST_F(LiveRoutesTest, CacheHoldsOnlyTheNewestEpochsEntries) {
+  obs::Gauge& entries_gauge =
+      obs::MetricsRegistry::Global().GetGauge("lsi.serve.cache.entries");
+  const double gauge_before = entries_gauge.value();
+  const std::vector<std::string> probes = {
+      R"({"query": "moon orbit", "top_k": 3})",
+      R"({"query": "engine automobile", "top_k": 3})",
+      R"({"query": "garlic pasta", "top_k": 3})"};
+  for (int publish = 0; publish < 6; ++publish) {
+    for (const std::string& body : probes) {
+      ASSERT_EQ(Handle(Request("POST", "/query", body)).status, 200);
+    }
+    EXPECT_LE(service_->cache().entries(), probes.size()) << publish;
+    EXPECT_LE(entries_gauge.value() - gauge_before,
+              static_cast<double>(probes.size()))
+        << publish;
+    ASSERT_EQ(Handle(Request("POST", "/add",
+                             R"({"name": "n)" + std::to_string(publish) +
+                                 R"(", "text": "moon orbit stars"})"))
+                  .status,
+              200);
+  }
+  EXPECT_EQ(Handle(Request("POST", "/query", probes[0])).status, 200);
+  EXPECT_EQ(service_->cache().entries(), 1u);
+}
+
+// Live replies name the epoch they were answered at, so a caching
+// router can tell they will change with the next write.
+TEST_F(LiveRoutesTest, QueryRepliesCarryTheirEpoch) {
+  auto epoch_of = [](const HttpResponse& response) -> std::string {
+    for (const auto& [name, value] : response.extra_headers) {
+      if (name == "X-Lsi-Epoch") return value;
+    }
+    return "";
+  };
+  HttpResponse before = Handle(
+      Request("POST", "/query", R"({"query": "moon orbit", "top_k": 3})"));
+  ASSERT_EQ(before.status, 200);
+  EXPECT_EQ(epoch_of(before), std::to_string(live_->epoch()));
+  ASSERT_EQ(Handle(Request("POST", "/add",
+                           R"({"name": "e1", "text": "moon orbit"})"))
+                .status,
+            200);
+  HttpResponse after = Handle(Request(
+      "POST", "/query", R"({"queries": ["moon orbit"], "top_k": 3})"));
+  ASSERT_EQ(after.status, 200);
+  EXPECT_EQ(epoch_of(after), std::to_string(live_->epoch()));
+  EXPECT_NE(epoch_of(after), epoch_of(before));
+}
+
 TEST_F(LiveRoutesTest, ShutdownFlushesPendingEpoch) {
   // With batched publishing, an acknowledged write can be invisible
   // until Shutdown() flushes it — the drain guarantee.
@@ -279,6 +334,23 @@ TEST(LiveRoutesReadOnlyTest, WritesAgainstReadOnlyServiceAre403) {
     EXPECT_EQ(response.status, 403) << route;
   }
   service.Shutdown();
+}
+
+// A fixed engine's answers never change, so its replies carry no epoch
+// and a caching router keeps them.
+TEST(LiveRoutesReadOnlyTest, QueryRepliesCarryNoEpoch) {
+  core::LsiEngineOptions options;
+  options.rank = 3;
+  options.solver = core::SvdSolver::kJacobi;
+  auto engine = core::LsiEngine::Build(ThreeTopicCorpus(), options);
+  ASSERT_TRUE(engine.ok());
+  LsiService service(engine.value());
+  HttpResponse response = service.Handle(
+      Request("POST", "/query", R"({"query": "moon orbit"})"), Soon());
+  ASSERT_EQ(response.status, 200);
+  for (const auto& header : response.extra_headers) {
+    EXPECT_NE(header.first, "X-Lsi-Epoch");
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -61,6 +63,15 @@ class TestClient {
       if (n <= 0) return std::exchange(buffer_, "");
       buffer_.append(chunk, static_cast<std::size_t>(n));
     }
+  }
+
+  /// Makes every later recv give up after `timeout`, so a test that
+  /// waits on a starved connection fails instead of hanging.
+  void SetReadTimeout(std::chrono::milliseconds timeout) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv), 0);
   }
 
   /// True once the server has closed its end (recv returns 0).
@@ -253,6 +264,82 @@ TEST(HttpServerTest, FullAdmissionQueueAnswers503WithRetryAfter) {
   EXPECT_TRUE(client.ServerClosed());
   server.Stop();
   EXPECT_FALSE(handled);  // Shed before any parsing or handler work.
+}
+
+// An idle keep-alive connection must not hold the only worker while
+// another client waits: the worker gives the idle connection up for the
+// queued one instead of sitting out the 30 s idle timeout.
+TEST(HttpServerTest, IdleKeepAliveYieldsWorkerToQueuedConnection) {
+  ServerOptions options = LoopbackOptions();
+  options.threads = 1;
+  HttpServer server(EchoHandler(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient idle(server.port());
+  idle.Send("GET /first HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(StatusOf(idle.ReadResponse()), 200);  // Now idle on keep-alive.
+
+  TestClient waiting(server.port());
+  waiting.SetReadTimeout(std::chrono::seconds(5));
+  const auto begin = std::chrono::steady_clock::now();
+  waiting.Send("GET /second HTTP/1.1\r\n\r\n");
+  const std::string response = waiting.ReadResponse();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_EQ(StatusOf(response), 200) << response;
+  EXPECT_NE(response.find("GET /second"), std::string::npos) << response;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  // The yielded connection was closed, not left dangling.
+  idle.SetReadTimeout(std::chrono::seconds(5));
+  EXPECT_TRUE(idle.ServerClosed());
+  server.Stop();
+}
+
+// With a worker free, nobody needs the idle connection's worker: the
+// idle client keeps its connection.
+TEST(HttpServerTest, IdleKeepAliveIsKeptWhileAWorkerIsFree) {
+  HttpServer server(EchoHandler(), LoopbackOptions());  // Two workers.
+  ASSERT_TRUE(server.Start().ok());
+  TestClient idle(server.port());
+  idle.SetReadTimeout(std::chrono::seconds(5));
+  idle.Send("GET /first HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(StatusOf(idle.ReadResponse()), 200);
+  {
+    TestClient other(server.port());
+    other.SetReadTimeout(std::chrono::seconds(5));
+    other.Send("GET /other HTTP/1.1\r\n\r\n");
+    EXPECT_EQ(StatusOf(other.ReadResponse()), 200);
+  }
+  idle.Send("GET /again HTTP/1.1\r\n\r\n");
+  const std::string again = idle.ReadResponse();
+  EXPECT_EQ(StatusOf(again), 200) << again;
+  EXPECT_NE(again.find("GET /again"), std::string::npos) << again;
+  server.Stop();
+}
+
+// A connection with part of a request buffered is mid-request, not idle:
+// the worker finishes it before it serves anyone else.
+TEST(HttpServerTest, PartialRequestIsNotYielded) {
+  ServerOptions options = LoopbackOptions();
+  options.threads = 1;
+  HttpServer server(EchoHandler(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient slow(server.port());
+  slow.SetReadTimeout(std::chrono::seconds(5));
+  slow.Send("POST /slow HTTP/1.1\r\nContent-Length: 4\r\n\r\nab");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  TestClient waiting(server.port());
+  waiting.SetReadTimeout(std::chrono::seconds(5));
+  waiting.Send("GET /second HTTP/1.1\r\n\r\n");
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  slow.Send("cd");
+  const std::string first = slow.ReadResponse();
+  EXPECT_EQ(StatusOf(first), 200) << first;
+  EXPECT_NE(first.find("abcd"), std::string::npos) << first;
+  const std::string second = waiting.ReadResponse();
+  EXPECT_EQ(StatusOf(second), 200) << second;
+  server.Stop();
 }
 
 TEST(HttpServerTest, RestartOnSamePortAfterStop) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include "common/fault.h"
 #include "core/engine.h"
+#include "live/live_engine.h"
 #include "obs/metrics.h"
 #include "serve/json.h"
 #include "serve/retry.h"
@@ -95,20 +97,26 @@ const std::string* FindHeader(const serve::HttpResponse& response,
 }
 
 /// One real shard backend: an HttpServer serving an LsiService over one
-/// shard's engine.
+/// shard's engine (or over a live engine).
 class Backend {
  public:
   explicit Backend(const core::LsiEngine& engine)
       : service_(std::make_unique<serve::LsiService>(engine)),
-        server_(std::make_unique<serve::HttpServer>(
-            [this](const serve::HttpRequest& request,
-                   steady_clock::time_point deadline) {
-              return service_->Handle(request, deadline);
-            },
-            Loopback())) {}
+        server_(MakeServer(0)) {}
+  explicit Backend(live::LiveEngine& live)
+      : service_(std::make_unique<serve::LsiService>(live)),
+        server_(MakeServer(0)) {}
 
   void Start() { ASSERT_TRUE(server_->Start().ok()); }
   void Stop() { server_->Stop(); }
+  /// Stops the server and starts a new one on the same port, as a
+  /// restarted backend process would.
+  void Restart() {
+    const int port = server_->port();
+    server_->Stop();
+    server_ = MakeServer(port);
+    Start();
+  }
   int port() const { return server_->port(); }
   serve::LsiService& service() { return *service_; }
   std::string address() const {
@@ -116,9 +124,45 @@ class Backend {
   }
 
  private:
+  std::unique_ptr<serve::HttpServer> MakeServer(int port) {
+    serve::ServerOptions options = Loopback();
+    options.port = port;
+    return std::make_unique<serve::HttpServer>(
+        [this](const serve::HttpRequest& request,
+               steady_clock::time_point deadline) {
+          return service_->Handle(request, deadline);
+        },
+        options);
+  }
+
   std::unique_ptr<serve::LsiService> service_;
   std::unique_ptr<serve::HttpServer> server_;
 };
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).value();
+}
+
+/// The router's /statusz, parsed.
+serve::JsonValue Statusz(Router& router) {
+  serve::HttpRequest request;
+  request.method = "GET";
+  request.target = "/statusz";
+  auto parsed = serve::JsonValue::Parse(router.Handle(request, Soon()).body);
+  EXPECT_TRUE(parsed.ok());
+  return parsed.ok() ? std::move(parsed).value() : serve::JsonValue();
+}
+
+double IdleConnections(Router& router, std::size_t shard) {
+  const serve::JsonValue status = Statusz(router);
+  const serve::JsonValue* shards = status.Find("shards");
+  if (shards == nullptr || shards->array().size() <= shard) return -1.0;
+  return shards->array()[shard]
+      .Find("replicas")
+      ->array()[0]
+      .Find("idle_connections")
+      ->number();
+}
 
 /// An address that refuses connections: bind an ephemeral listener to
 /// learn a free port, then close it.
@@ -580,6 +624,182 @@ TEST_F(RouterTest, StatuszReportsShardsAndMetricsExport) {
 
   router.Stop();
   b0.Stop();
+}
+
+// Forwards travel over pooled keep-alive sockets: sequential queries to
+// one backend open one connection and reuse it.
+TEST_F(RouterTest, SequentialQueriesReuseOneConnection) {
+  Backend b0(set_->shard(0));
+  b0.Start();
+  RouterOptions options = BaseRouterOptions();
+  options.shards = {{b0.address()}};
+  options.cache.max_bytes = 0;  // Every query scatters.
+  Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  const std::uint64_t connects = CounterValue("lsi.shard.connects");
+  const std::uint64_t reuses = CounterValue("lsi.shard.pool.reuses");
+  const std::uint64_t stale = CounterValue("lsi.shard.pool.stale_retries");
+  for (int i = 0; i < 20; ++i) {
+    serve::HttpResponse response = router.Handle(
+        QueryRequest(R"({"query": "astronauts near the moon", "top_k": 2})"),
+        Soon());
+    ASSERT_EQ(response.status, 200) << i << response.body;
+  }
+  EXPECT_EQ(CounterValue("lsi.shard.connects") - connects, 1u);
+  EXPECT_EQ(CounterValue("lsi.shard.pool.reuses") - reuses, 19u);
+  EXPECT_EQ(CounterValue("lsi.shard.pool.stale_retries") - stale, 0u);
+  EXPECT_EQ(IdleConnections(router, 0), 1.0);
+
+  // Stop closes the pool.
+  router.Stop();
+  EXPECT_EQ(IdleConnections(router, 0), 0.0);
+  b0.Stop();
+}
+
+// A backend restarted on the same port leaves the router holding a
+// socket the old process closed. The next query replays its forward
+// once on a new connection: a full answer, no breaker failure.
+TEST_F(RouterTest, RestartedBackendCostsOneStaleRetry) {
+  Backend b0(set_->shard(0));
+  Backend b1(set_->shard(1));
+  b0.Start();
+  b1.Start();
+  RouterOptions options = BaseRouterOptions();
+  options.shards = {{b0.address()}, {b1.address()}};
+  options.cache.max_bytes = 0;
+  Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  const std::string request_body =
+      R"({"query": "astronauts near the moon", "top_k": 3})";
+  ASSERT_EQ(router.Handle(QueryRequest(request_body), Soon()).status, 200);
+  EXPECT_EQ(IdleConnections(router, 0), 1.0);
+
+  b0.Restart();
+  const std::uint64_t stale = CounterValue("lsi.shard.pool.stale_retries");
+  const std::uint64_t connects = CounterValue("lsi.shard.connects");
+  serve::HttpResponse response =
+      router.Handle(QueryRequest(request_body), Soon());
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(FindHeader(response, "X-Lsi-Partial"), nullptr);
+  EXPECT_EQ(response.body, BaselineBody(request_body));
+  EXPECT_EQ(CounterValue("lsi.shard.pool.stale_retries") - stale, 1u);
+  EXPECT_EQ(CounterValue("lsi.shard.connects") - connects, 1u);
+  EXPECT_EQ(router.ReplicaState(0, 0), BreakerState::kHealthy);
+  const serve::JsonValue status = Statusz(router);
+  EXPECT_EQ(status.Find("shards")
+                ->array()[0]
+                .Find("replicas")
+                ->array()[0]
+                .Find("consecutive_failures")
+                ->number(),
+            0.0);
+
+  router.Stop();
+  b0.Stop();
+  b1.Stop();
+}
+
+// A breaker failure closes the replica's idle sockets: a failing
+// backend is not worth keeping connections to.
+TEST_F(RouterTest, BreakerFailureClosesIdleSockets) {
+  std::atomic<bool> healthy{true};
+  serve::HttpServer flaky(
+      [&healthy](const serve::HttpRequest&, steady_clock::time_point) {
+        serve::HttpResponse response;
+        response.content_type = "application/json; charset=utf-8";
+        if (!healthy.load()) {
+          response.status = 503;
+          response.body = R"({"error": "down"})";
+          return response;
+        }
+        response.body = R"({"hits":[]})";
+        return response;
+      },
+      Loopback());
+  ASSERT_TRUE(flaky.Start().ok());
+  RouterOptions options = BaseRouterOptions();
+  options.shards = {{"127.0.0.1:" + std::to_string(flaky.port())}};
+  options.cache.max_bytes = 0;
+  Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  const serve::HttpRequest request = QueryRequest(R"({"query": "moon"})");
+  ASSERT_EQ(router.Handle(request, Soon()).status, 200);
+  EXPECT_EQ(IdleConnections(router, 0), 1.0);
+  // A query failure (here a faulted dispatch, which never touches the
+  // pooled socket) closes it.
+  ASSERT_TRUE(fault::FaultRegistry::Global()
+                  .ArmFromString("shard.query.dispatch=once@1")
+                  .ok());
+  EXPECT_EQ(router.Handle(request, Soon()).status, 503);
+  EXPECT_EQ(IdleConnections(router, 0), 0.0);
+  fault::FaultRegistry::Global().DisarmAll();
+
+  // So does a failed health probe.
+  ASSERT_EQ(router.Handle(request, Soon()).status, 200);
+  EXPECT_EQ(IdleConnections(router, 0), 1.0);
+  healthy.store(false);
+  router.ProbeNow();
+  EXPECT_EQ(IdleConnections(router, 0), 0.0);
+  // And a failed reply closes the socket it came on.
+  healthy.store(true);
+  ASSERT_EQ(router.Handle(request, Soon()).status, 200);
+  EXPECT_EQ(IdleConnections(router, 0), 1.0);
+  healthy.store(false);
+  EXPECT_EQ(router.Handle(request, Soon()).status, 503);
+  EXPECT_EQ(IdleConnections(router, 0), 0.0);
+
+  router.Stop();
+  flaky.Stop();
+}
+
+// A caching router in front of a live backend must not replay a result
+// the backend's next write has changed.
+TEST_F(RouterTest, CachingRouterNeverServesStaleResultsFromLiveBackend) {
+  const std::string wal = ::testing::TempDir() + "/router_live_backend.log";
+  std::remove(wal.c_str());
+  live::LiveOptions live_options;
+  live_options.engine = SmallOptions(1).engine;
+  live_options.background_refresh = false;
+  auto live = live::LiveEngine::Open(ThreeTopicCorpus(), wal, live_options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  {
+    Backend backend(**live);
+    backend.Start();
+    RouterOptions options = BaseRouterOptions();
+    options.shards = {{backend.address()}};
+    Router router(std::move(options));  // Default cache: on, no TTL.
+    ASSERT_TRUE(router.Start().ok());
+
+    const serve::HttpRequest probe =
+        QueryRequest(R"({"query": "moon orbit", "top_k": 3})");
+    serve::HttpResponse before = router.Handle(probe, Soon());
+    ASSERT_EQ(before.status, 200) << before.body;
+    EXPECT_EQ(before.body.find("comet1"), std::string::npos);
+
+    // The new document reuses base vocabulary so fold-in can place it,
+    // and it matches the probe better than any base document.
+    serve::HttpRequest add;
+    add.method = "POST";
+    add.target = "/add";
+    add.version = "HTTP/1.1";
+    add.body = R"({"name": "comet1", "text": "moon orbit moon orbit"})";
+    ASSERT_EQ(backend.service().Handle(add, Soon()).status, 200);
+
+    serve::HttpResponse after = router.Handle(probe, Soon());
+    ASSERT_EQ(after.status, 200) << after.body;
+    EXPECT_NE(after.body.find("comet1"), std::string::npos) << after.body;
+    EXPECT_NE(after.body, before.body);
+    // Having seen a live reply, the router no longer asks the backend
+    // not to store: the backend's epoch-keyed cache holds the answer.
+    EXPECT_EQ(backend.service().cache().entries(), 1u);
+
+    router.Stop();
+    backend.Stop();
+  }
+  EXPECT_TRUE((*live)->Close().ok());
 }
 
 }  // namespace

@@ -58,9 +58,10 @@
 //       names one shard; commas separate its replicas (first = primary,
 //       later = hedge targets). Serves POST /query, GET /healthz,
 //       /statusz, /metrics; /query fans out with the remaining deadline
-//       in X-Lsi-Deadline-Ms, hedges slow shards once after a
-//       p95-derived delay, and — under --partial=degrade — answers over
-//       the surviving shards with X-Lsi-Partial: true when some fail.
+//       in X-Lsi-Deadline-Ms over pooled keep-alive connections,
+//       hedges slow shards once after a p95-derived delay, and — under
+//       --partial=degrade — answers over the surviving shards with
+//       X-Lsi-Partial: true when some fail.
 //
 //   lsi_tool add <live-dir> <name> <text...>
 //       Appends one add record to <live-dir>/wal.log without starting a
