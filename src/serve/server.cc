@@ -26,6 +26,10 @@ namespace {
 /// How often blocked poll() calls wake to re-check the stopping flag.
 constexpr int kPollTickMs = 100;
 
+/// How long an answered keep-alive connection must stay quiet before
+/// the idle-yield rule may close it for a queued connection.
+constexpr std::chrono::milliseconds kYieldQuiet{kPollTickMs};
+
 /// Writes the whole buffer, riding out EINTR and short writes. False on
 /// a dead peer (EPIPE/ECONNRESET — routine, not an error).
 bool SendAll(int fd, std::string_view data) {
@@ -275,6 +279,7 @@ int HttpServer::ServeConnection(int fd) {
   HttpParser parser(options_.limits);
   char buffer[16 * 1024];
   auto last_activity = std::chrono::steady_clock::now();
+  bool answered = false;  // At least one response sent on this connection.
 
   while (true) {
     // Read until the parser completes a request (it may already hold a
@@ -289,10 +294,26 @@ int HttpServer::ServeConnection(int fd) {
         ::close(fd);
         return -1;
       }
-      // An idle connection also watches the yield signal; one
-      // mid-request does not, so a set signal cannot spin its poll.
+      // Only a connection that has been answered and then stayed idle
+      // for kYieldQuiet watches the yield signal. A keep-alive client
+      // that sends its next request right after a response is never
+      // closed under it, and a connection that has not sent its first
+      // request yet is never closed before it does. Until the quiet
+      // time is up the poll waits on the socket alone, with the rest of
+      // that time as its timeout, so a set signal cannot spin it.
+      int timeout_ms = kPollTickMs;
+      bool watch_yield = false;
+      if (idle && answered) {
+        const auto quiet = std::chrono::steady_clock::now() - last_activity;
+        watch_yield = quiet >= kYieldQuiet;
+        if (!watch_yield) {
+          timeout_ms = static_cast<int>(
+              std::chrono::ceil<std::chrono::milliseconds>(kYieldQuiet - quiet)
+                  .count());
+        }
+      }
       pollfd pfds[2] = {{fd, POLLIN, 0}, {yield_fd_, POLLIN, 0}};
-      const int ready = ::poll(pfds, idle ? 2 : 1, kPollTickMs);
+      const int ready = ::poll(pfds, watch_yield ? 2 : 1, timeout_ms);
       if (ready < 0 && errno != EINTR) {
         ::close(fd);
         return -1;
@@ -385,6 +406,7 @@ int HttpServer::ServeConnection(int fd) {
       ::close(fd);
       return -1;
     }
+    answered = true;
     last_activity = std::chrono::steady_clock::now();
   }
 }

@@ -51,13 +51,16 @@ struct ServerOptions {
 /// control, and each worker runs its requests' engine work itself.
 ///
 /// Idle-yield rule: a worker holds its connection only while that
-/// connection is busy. When more connections are queued than workers
+/// connection is in use. When more connections are queued than workers
 /// are free, a server-wide eventfd turns readable; a worker whose
-/// connection is idle (no partial request buffered) then closes it and
+/// connection has answered at least one request and has then been idle
+/// (no partial request buffered) for at least 100 ms closes it and
 /// serves the oldest queued connection instead, so idle keep-alive
-/// clients cannot starve new ones for the idle timeout. The hand-over
-/// pops the queue under its mutex, so one queued client costs exactly
-/// one idle connection. A connection mid-request is never given up.
+/// clients cannot starve new ones for the idle timeout. The quiet time
+/// keeps a client that sends back-to-back requests from having its
+/// connection closed between two of them. The hand-over pops the queue
+/// under its mutex, so one queued client costs exactly one idle
+/// connection. A connection mid-request is never given up.
 ///
 /// Overload and failure semantics:
 ///   - queue full                -> 503 + Retry-After, connection closed

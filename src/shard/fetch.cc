@@ -190,9 +190,7 @@ bool Fetch::TryParse() {
       } else if (line.compare(0, 11, "connection:") == 0) {
         connection_close_ = line.find("close", 11) != std::string::npos;
       } else if (line.compare(0, 12, "x-lsi-epoch:") == 0) {
-        char* end = nullptr;
-        const long long epoch = std::strtoll(line.c_str() + 12, &end, 10);
-        if (end != line.c_str() + 12 && epoch >= 0) response_.epoch = epoch;
+        response_.live = true;
       }
       line_start = line_end + 2;
     }

@@ -29,9 +29,8 @@ class Fetch {
     std::string body;
     /// Parsed Retry-After header in milliseconds; -1 when absent.
     long retry_after_ms = -1;
-    /// Parsed X-Lsi-Epoch header (a live backend's snapshot epoch); -1
-    /// when absent.
-    long long epoch = -1;
+    /// True when the reply carries X-Lsi-Epoch: a live backend answered.
+    bool live = false;
   };
 
   Fetch() = default;

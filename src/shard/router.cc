@@ -668,7 +668,7 @@ std::vector<Router::ShardOutcome> Router::Scatter(
             if (response.status == 200) {
               task.done = true;
               task.ok = true;
-              task.live = response.epoch >= 0;
+              task.live = response.live;
               task.body = response.body;
               RecordOutcome(s, attempt.replica, true, -1,
                             attempt.timer.ElapsedMillis());
@@ -691,9 +691,11 @@ std::vector<Router::ShardOutcome> Router::Scatter(
             if (attempt.fetch.stale() && !attempt.stale_retried) {
               // The backend had closed the pooled socket. The forward is
               // a read, so replay it once on a new connection, in the
-              // same attempt slot and without a breaker failure.
+              // same attempt slot and without a breaker failure. The
+              // latency sample times the replay alone.
               attempt.stale_retried = true;
               stale_retries_->Increment();
+              attempt.timer.Restart();
               (void)dispatch(s, attempt, /*fresh=*/true);
               if (attempt.fetch.active()) {
                 any_active = true;

@@ -294,6 +294,49 @@ TEST(HttpServerTest, IdleKeepAliveYieldsWorkerToQueuedConnection) {
   server.Stop();
 }
 
+// A keep-alive client that sends its next request right after each
+// response is not idle: while another connection queues, its worker
+// keeps serving it, and yields only once it has gone quiet.
+TEST(HttpServerTest, BackToBackKeepAliveRequestsAreNotYielded) {
+  ServerOptions options = LoopbackOptions();
+  options.threads = 1;
+  HttpServer server(EchoHandler(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient busy(server.port());
+  busy.SetReadTimeout(std::chrono::seconds(5));
+  busy.Send("GET /first HTTP/1.1\r\n\r\n");
+  ASSERT_EQ(StatusOf(busy.ReadResponse()), 200);
+
+  TestClient waiting(server.port());
+  waiting.SetReadTimeout(std::chrono::seconds(5));
+  const auto begin = std::chrono::steady_clock::now();
+  waiting.Send("GET /queued HTTP/1.1\r\n\r\n");
+  // Let the queued connection raise the yield signal before the next
+  // request goes out.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  int answered = 0;
+  while (std::chrono::steady_clock::now() - begin <
+         std::chrono::milliseconds(250)) {
+    busy.Send("GET /next HTTP/1.1\r\n\r\n");
+    const std::string response = busy.ReadResponse();
+    ASSERT_EQ(StatusOf(response), 200)
+        << "request " << answered + 2 << " got: " << response;
+    ++answered;
+  }
+  EXPECT_GT(answered, 0);
+
+  // Now quiet: the worker yields the busy connection to the queued one.
+  const std::string queued = waiting.ReadResponse();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_EQ(StatusOf(queued), 200) << queued;
+  EXPECT_NE(queued.find("GET /queued"), std::string::npos) << queued;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  EXPECT_TRUE(busy.ServerClosed());
+  server.Stop();
+}
+
 // With a worker free, nobody needs the idle connection's worker: the
 // idle client keeps its connection.
 TEST(HttpServerTest, IdleKeepAliveIsKeptWhileAWorkerIsFree) {

@@ -115,7 +115,7 @@ TEST(FetchTest, HandsBackSocketOnlyForExactlyFramedKeepAliveReply) {
             std::make_pair(false, Fetch::State::kDone));
 }
 
-TEST(FetchTest, ParsesLiveEpochHeader) {
+TEST(FetchTest, EpochHeaderMarksLiveReply) {
   CannedServer server(
       "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Lsi-Epoch: 42\r\n\r\nok",
       /*close_after_reply=*/false);
@@ -124,7 +124,7 @@ TEST(FetchTest, ParsesLiveEpochHeader) {
   Drive(fetch);
   ASSERT_EQ(fetch.state(), Fetch::State::kDone) << fetch.error();
   EXPECT_EQ(fetch.response().body, "ok");
-  EXPECT_EQ(fetch.response().epoch, 42);
+  EXPECT_TRUE(fetch.response().live);
   fetch.Abort();
 }
 
