@@ -13,8 +13,8 @@ namespace lsi::serve {
 /// for anything else — the HTTP-date form, trailing garbage, negative
 /// or non-numeric values — so callers fall back to their default
 /// backoff base instead of honoring a bogus hint. Values above one day
-/// clamp to one day. Shared by lsi_loadgen's retry loop and the shard
-/// router's breaker re-probe.
+/// clamp to one day. The shard router's fetches read it and its breaker
+/// re-probe honors it.
 long ParseRetryAfterMs(std::string_view value);
 
 /// Parses an `X-Lsi-Deadline-Ms` header value: a non-negative integer

@@ -23,7 +23,7 @@
 namespace lsi::serve {
 namespace {
 
-/// How often blocked poll() calls wake to re-check the stopping flag.
+/// How often an idle worker's poll() wakes to check its idle timeout.
 constexpr int kPollTickMs = 100;
 
 /// How long an answered keep-alive connection must stay quiet before
@@ -121,8 +121,12 @@ Status HttpServer::Start() {
   }
 
   yield_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (yield_fd_ < 0) {
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (yield_fd_ < 0 || stop_fd_ < 0) {
     const int eventfd_errno = errno;
+    if (yield_fd_ >= 0) ::close(yield_fd_);
+    if (stop_fd_ >= 0) ::close(stop_fd_);
+    yield_fd_ = stop_fd_ = -1;
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::Internal(std::string("eventfd: ") +
@@ -143,6 +147,10 @@ Status HttpServer::Start() {
 void HttpServer::Stop() {
   if (!started_) return;
   stopping_.store(true, std::memory_order_relaxed);
+  // Never read back: every later poll that watches stop_fd_ returns at
+  // once.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t written = ::write(stop_fd_, &one, sizeof one);
   queue_cv_.NotifyAll();
   if (accept_thread_.joinable()) accept_thread_.join();
   // Workers drain pending_fds_ (answering whatever those clients send,
@@ -162,6 +170,8 @@ void HttpServer::Stop() {
     yield_fd_ = -1;
     yield_signaled_ = false;
   }
+  ::close(stop_fd_);
+  stop_fd_ = -1;
   started_ = false;
 }
 
@@ -178,9 +188,10 @@ void HttpServer::AcceptLoop() {
   obs::Gauge& depth = registry.GetGauge("lsi.serve.queue_depth");
 
   while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollTickMs);
-    if (ready <= 0) continue;  // Timeout tick or EINTR: re-check stopping.
+    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {stop_fd_, POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, -1);
+    // EINTR or Stop(): re-check stopping.
+    if (ready <= 0 || pfds[0].revents == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     accepted.Increment();
@@ -299,8 +310,10 @@ int HttpServer::ServeConnection(int fd) {
       // that sends its next request right after a response is never
       // closed under it, and a connection that has not sent its first
       // request yet is never closed before it does. Until the quiet
-      // time is up the poll waits on the socket alone, with the rest of
-      // that time as its timeout, so a set signal cannot spin it.
+      // time is up the poll leaves the signal out, with the rest of
+      // that time as its timeout, so a set signal cannot spin it. An
+      // idle connection also watches stop_fd_, so Stop() closes it at
+      // once; one mid-request does not, as it gets to finish.
       int timeout_ms = kPollTickMs;
       bool watch_yield = false;
       if (idle && answered) {
@@ -312,8 +325,10 @@ int HttpServer::ServeConnection(int fd) {
                   .count());
         }
       }
-      pollfd pfds[2] = {{fd, POLLIN, 0}, {yield_fd_, POLLIN, 0}};
-      const int ready = ::poll(pfds, watch_yield ? 2 : 1, timeout_ms);
+      pollfd pfds[3] = {
+          {fd, POLLIN, 0}, {stop_fd_, POLLIN, 0}, {yield_fd_, POLLIN, 0}};
+      const nfds_t watched = !idle ? 1 : watch_yield ? 3 : 2;
+      const int ready = ::poll(pfds, watched, timeout_ms);
       if (ready < 0 && errno != EINTR) {
         ::close(fd);
         return -1;
@@ -327,6 +342,8 @@ int HttpServer::ServeConnection(int fd) {
         continue;
       }
       if (pfds[0].revents == 0) {
+        // Stop() fired: the drain rule above closes the connection.
+        if (pfds[2].revents == 0) continue;
         // Only the yield signal fired: give this idle connection up for
         // a queued one, if a free worker is not already taking it.
         const int next = TakeQueuedForYield();

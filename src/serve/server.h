@@ -68,7 +68,9 @@ struct ServerOptions {
 ///   - handler past the deadline -> 504 (handler enforces it; see below)
 ///   - unparseable request       -> 400/413/431/501, connection closed,
 ///                                  worker thread lives on
-///   - Stop()                    -> stops accepting, finishes in-flight
+///   - Stop()                    -> wakes the accept loop and idle
+///                                  workers at once (an eventfd), stops
+///                                  accepting, finishes in-flight
 ///                                  requests with Connection: close,
 ///                                  then joins every thread
 ///
@@ -139,6 +141,9 @@ class HttpServer {
   /// the workers join. Its counter changes only under queue_mutex_;
   /// idle workers poll it without the lock.
   int yield_fd_ = -1;
+  /// Written once by Stop() and never read: wakes the accept loop and
+  /// idle workers at once. Created by Start(), closed by Stop().
+  int stop_fd_ = -1;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -15,8 +15,8 @@ namespace lsi::shard {
 ///               dispatched to, but only after healthy replicas.
 ///   kEjected  — consecutive failures reached the threshold; never
 ///               dispatched to until a /healthz re-probe (paced by
-///               capped jittered exponential backoff, the lsi_loadgen
-///               retry policy) succeeds.
+///               capped jittered exponential backoff, serve::BackoffMs)
+///               succeeds.
 enum class BreakerState { kHealthy, kDegraded, kEjected };
 
 const char* BreakerStateName(BreakerState state);

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for ci/bench_guard.py: the legacy speedup guard, the
-BENCH_<pr>.json emit/compare trajectory, the >15% synthetic regression
-(negative test from the PR acceptance criteria), and the loud failure
-when a benchmark name disappears from the output."""
+merge-base-vs-head ab gate (a seeded 2x slowdown fails and names only
+its row; identical runs pass), and the loud failure when a benchmark
+name disappears from the output."""
 
 import contextlib
 import io
@@ -115,219 +115,127 @@ class SpeedupModeTest(BenchGuardTestBase):
         self.assertEqual(self.run_guard([path]), 1)
 
 
-TRAJ = [
-    ("BM_CosineScoreThreads/scalar/2000/4", 900.0, "us"),
-    ("BM_CosineScoreThreads/avx2/2000/4", 400.0, "us"),
-    ("BM_SimdDot/avx2/128", 20.0, "ns"),
-    ("BM_SpmvPath/avx2/2000", 120.0, "us"),
-    ("BM_GemmPath/avx2/600", 30.0, "ms"),
-    ("BM_SparseMatVecThreads/2000/1", 200.0, "us"),
-    ("BM_SparseMatVecThreads/2000/4", 80.0, "us"),
-    ("BM_TextPipeline", 11.0, "us"),  # Not a trajectory kernel.
-]
+# Rows of one bench_s1 run as (name, ns); the AVX2 variant carries None
+# in tests that model a host without AVX2 (an errored, skipped row).
+ROWS = {
+    "BM_CosineScoreThreads/scalar/2000/1": 150e3,
+    "BM_CosineScoreThreads/scalar/2000/4": 60e3,
+    "BM_CosineScoreThreads/avx2/2000/1": 62e3,
+    "BM_SimdDot/avx2/128": 17.0,
+    "BM_ServiceHandleCachedQuery": 3e3,
+}
 
 
-class EmitModeTest(BenchGuardTestBase):
-    def emit(self, entries, pr=7, name="BENCH_7.json"):
-        raw = self.write_json("raw.json", gbench_json(entries))
-        out = os.path.join(self.tmp.name, name)
-        rc = self.run_guard([
-            "emit", raw, "--pr", str(pr), "--out", out,
-            "--commit", "abc1234", "--threads", "4",
-            "--build-type", "Release", "--dispatch-path", "avx2"])
-        return rc, out
+class AbModeTest(BenchGuardTestBase):
+    def write_runs(self, side, rows_per_pair):
+        """Writes one run file per pair under <tmp>/<side>/ and returns
+        the directory. rows_per_pair[i] maps row name -> ns (None marks
+        an errored row)."""
+        directory = os.path.join(self.tmp.name, side)
+        os.makedirs(directory, exist_ok=True)
+        for i, rows in enumerate(rows_per_pair):
+            entries = [(name, t, "ns") for name, t in rows.items()]
+            with open(os.path.join(directory, "%02d.json" % i), "w") as f:
+                json.dump(gbench_json(entries), f)
+        return directory
 
-    def test_emits_schema_versioned_snapshot(self):
-        rc, out = self.emit(TRAJ)
-        self.assertEqual(rc, 0)
-        with open(out) as f:
-            snap = json.load(f)
-        self.assertEqual(snap["schema_version"],
-                         bench_guard.BENCH_SCHEMA_VERSION)
-        self.assertEqual(snap["pr"], 7)
-        self.assertEqual(snap["commit"], "abc1234")
-        self.assertEqual(snap["config"]["dispatch_path"], "avx2")
-        self.assertEqual(snap["config"]["threads"], 4)
-        self.assertIn("BM_SimdDot/avx2/128", snap["kernels"])
-        self.assertEqual(snap["kernels"]["BM_SimdDot/avx2/128"], 20.0)
-        # Unit-normalized: 400us -> ns.
-        self.assertEqual(
-            snap["kernels"]["BM_CosineScoreThreads/avx2/2000/4"], 400e3)
-        self.assertNotIn("BM_TextPipeline", snap["kernels"])
+    def noisy(self, rows=ROWS, pairs=bench_guard.MIN_PAIRS, scale=None):
+        """Per-pair rows with a few percent of run-to-run spread; `scale`
+        multiplies the named rows (a seeded slowdown)."""
+        scale = scale or {}
+        return [{name: None if t is None else
+                 t * (1.0 + 0.03 * ((i * 7) % 5 - 2)) * scale.get(name, 1.0)
+                 for name, t in rows.items()}
+                for i in range(pairs)]
 
-    def test_emit_with_no_kernels_fails(self):
-        rc, _ = self.emit([("BM_TextPipeline", 11.0, "us")])
+    def ab(self, base, head):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = self.run_guard(["ab", self.write_runs("base", base),
+                                 self.write_runs("head", head)])
+        return rc, out.getvalue(), err.getvalue()
+
+    def test_seeded_2x_slowdown_fails_and_names_only_that_row(self):
+        slow = "BM_CosineScoreThreads/avx2/2000/1"
+        rc, out, err = self.ab(self.noisy(), self.noisy(scale={slow: 2.0}))
         self.assertEqual(rc, 1)
+        self.assertIn(slow, err)
+        for row in ROWS:
+            if row != slow:
+                self.assertNotIn(row, err)
+        failed = [line for line in out.splitlines() if "[FAIL]" in line]
+        self.assertEqual(len(failed), 1, out)
+        self.assertIn(slow, failed[0])
+        self.assertIn("1 regressed", out)
 
-    def test_emit_merges_multiple_inputs(self):
-        # The CI job feeds one substrate and one serve-path JSON file;
-        # a single snapshot must span both binaries.
-        substrate = self.write_json("s1.json", gbench_json(TRAJ))
-        serve = self.write_json("s2.json", gbench_json([
-            ("BM_HttpParseRequest", 300.0, "ns"),
-            ("BM_JsonParse", 1.2, "us"),
-            ("BM_JsonSerializeHits", 2.5, "us"),
-            ("BM_QueryCacheHit/8", 90.0, "ns"),
-            ("BM_ServiceHandleUncachedQuery", 40.0, "us"),
-            ("BM_ServiceHandleCachedQuery", 1.1, "us"),
-        ]))
-        out = os.path.join(self.tmp.name, "BENCH_8.json")
-        rc = self.run_guard([
-            "emit", substrate, serve, "--pr", "8", "--out", out,
-            "--commit", "abc1234", "--threads", "4",
-            "--build-type", "Release", "--dispatch-path", "avx2"])
+    def test_identical_base_and_head_pass(self):
+        rc, out, err = self.ab(self.noisy(), self.noisy())
+        self.assertEqual(rc, 0, err)
+        self.assertNotIn("[FAIL]", out)
+        self.assertIn("%d row(s) compared, 0 regressed" % len(ROWS), out)
+
+    def test_slower_in_every_pair_within_base_spread_passes(self):
+        # Head loses every pair, but by less than base's own IQR: noise
+        # the gate cannot tell from a change, so it does not fail.
+        rc, out, _ = self.ab(self.noisy(),
+                             self.noisy(scale={"BM_SimdDot/avx2/128": 1.01}))
+        self.assertEqual(rc, 0, out)
+        self.assertIn("head slower 10/10) [ok]", out)
+
+    def test_2x_slowdown_with_one_faster_pair_passes(self):
+        # The every-pair rule: a pair in which head won clears the row.
+        head = self.noisy(scale={"BM_SimdDot/avx2/128": 2.0})
+        head[3]["BM_SimdDot/avx2/128"] = 1.0
+        rc, _, _ = self.ab(self.noisy(), head)
         self.assertEqual(rc, 0)
-        with open(out) as f:
-            snap = json.load(f)
-        self.assertIn("BM_SimdDot/avx2/128", snap["kernels"])
-        self.assertEqual(snap["kernels"]["BM_HttpParseRequest"], 300.0)
-        self.assertEqual(snap["kernels"]["BM_QueryCacheHit/8"], 90.0)
-        self.assertEqual(snap["kernels"]["BM_ServiceHandleUncachedQuery"], 40e3)
 
-    def test_emit_rejects_duplicate_names_across_inputs(self):
-        a = self.write_json("a.json", gbench_json(TRAJ))
-        b = self.write_json("b.json", gbench_json(TRAJ))
-        out = os.path.join(self.tmp.name, "BENCH_8.json")
-        rc = self.run_guard(["emit", a, b, "--pr", "8", "--out", out])
+    def test_row_vanishing_from_head_fails_with_diff(self):
+        head = self.noisy()
+        for rows in head:
+            del rows["BM_ServiceHandleCachedQuery"]
+            rows["BM_ServiceHandleCachedQueryRenamed"] = 3e3
+        rc, _, err = self.ab(self.noisy(), head)
         self.assertEqual(rc, 1)
+        self.assertIn("- BM_ServiceHandleCachedQuery  (expected but missing)",
+                      err)
+        self.assertIn("+ BM_ServiceHandleCachedQueryRenamed  (new", err)
 
-
-class CompareModeTest(BenchGuardTestBase):
-    def snapshot(self, pr, kernels, name=None):
-        snap = {"schema_version": bench_guard.BENCH_SCHEMA_VERSION,
-                "pr": pr, "commit": "c%d" % pr,
-                "config": {"threads": 4, "dispatch_path": "avx2",
-                           "build_type": "Release"},
-                "kernels": kernels}
-        return self.write_json(name or ("BENCH_%d.json" % pr), snap)
-
-    def compare(self, current, tolerance=0.15):
-        return self.run_guard([
-            "compare", current, "--baseline-dir", self.tmp.name,
-            "--tolerance", str(tolerance)])
-
-    def test_within_tolerance_passes(self):
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 20.0})
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 22.0},
-                            name="current.json")
-        self.assertEqual(self.compare(cur), 0)
-
-    def test_synthetic_fifteen_percent_regression_fails(self):
-        # The acceptance-criteria negative test: >15% slower must fail.
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 100.0})
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 116.0},
-                            name="current.json")
-        self.assertEqual(self.compare(cur), 1)
-
-    def test_disappeared_kernel_fails(self):
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 20.0,
-                          "BM_GemmPath/avx2/600": 100.0})
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 20.0},
-                            name="current.json")
-        self.assertEqual(self.compare(cur), 1)
-
-    def test_new_kernel_is_allowed(self):
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 20.0})
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 20.0,
-                                "BM_SpmvPath/avx2/2000": 50.0},
-                            name="current.json")
-        self.assertEqual(self.compare(cur), 0)
-
-    def test_picks_newest_lower_pr_baseline(self):
-        self.snapshot(5, {"BM_SimdDot/avx2/128": 10.0})   # Would fail.
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 20.0})   # Passes.
-        self.snapshot(9, {"BM_SimdDot/avx2/128": 1.0})    # Future: ignored.
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 21.0},
-                            name="current.json")
-        self.assertEqual(self.compare(cur), 0)
-
-    def test_no_baseline_passes(self):
-        cur = self.snapshot(1, {"BM_SimdDot/avx2/128": 21.0},
-                            name="current.json")
-        self.assertEqual(self.compare(cur), 0)
-
-    def test_schema_mismatch_fails(self):
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 20.0})
-        bad = self.write_json("current.json", {
-            "schema_version": 999, "pr": 7, "kernels": {}})
-        self.assertEqual(self.compare(bad), 1)
-
-    def compare_capture(self, argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = self.run_guard(argv)
-        return rc, out.getvalue()
-
-    def test_improvement_is_marked_and_summarized(self):
-        # Trajectory reviews must see wins, not only losses: a kernel
-        # that got 2x faster is flagged [improved] and counted in the
-        # closing summary, and the run still passes.
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 100.0,
-                          "BM_SpmvPath/avx2/2000": 50.0})
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 50.0,
-                                "BM_SpmvPath/avx2/2000": 51.0},
-                            name="current.json")
-        rc, out = self.compare_capture([
-            "compare", cur, "--baseline-dir", self.tmp.name,
-            "--tolerance", "0.15"])
-        self.assertEqual(rc, 0)
-        self.assertIn("[improved]", out)
-        self.assertIn("-50.0%", out)
-        self.assertIn("1 improved, 0 regressed, 1 within tolerance, 0 new",
-                      out)
-
-    def test_regression_counted_in_summary(self):
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 100.0})
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 200.0},
-                            name="current.json")
-        rc, out = self.compare_capture([
-            "compare", cur, "--baseline-dir", self.tmp.name,
-            "--tolerance", "0.15"])
+    def test_row_missing_from_one_base_run_fails(self):
+        base = self.noisy()
+        del base[4]["BM_SimdDot/avx2/128"]
+        rc, _, err = self.ab(base, self.noisy())
         self.assertEqual(rc, 1)
-        self.assertIn("0 improved, 1 regressed, 0 within tolerance, 0 new",
-                      out)
+        self.assertIn("base run 04.json", err)
 
-    def test_explicit_baseline_overrides_discovery(self):
-        # Discovery would pick pr 6 (the newest below 7) and fail on the
-        # 2x regression; pinning --baseline to the pr 5 snapshot passes.
-        self.snapshot(5, {"BM_SimdDot/avx2/128": 21.0})
-        self.snapshot(6, {"BM_SimdDot/avx2/128": 10.0})
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 20.0},
-                            name="current.json")
-        self.assertEqual(self.compare(cur), 1)
-        base5 = os.path.join(self.tmp.name, "BENCH_5.json")
-        self.assertEqual(self.run_guard([
-            "compare", cur, "--baseline", base5,
-            "--tolerance", "0.15"]), 0)
+    def test_errored_rows_are_ignored_on_both_sides(self):
+        no_avx2 = dict(ROWS)
+        no_avx2["BM_CosineScoreThreads/avx2/2000/1"] = None
+        no_avx2["BM_SimdDot/avx2/128"] = None
+        rc, out, err = self.ab(self.noisy(no_avx2), self.noisy(no_avx2))
+        self.assertEqual(rc, 0, err)
+        self.assertNotIn("avx2", out)
+        self.assertIn("3 row(s) compared", out)
 
-    def test_only_prefix_limits_scope(self):
-        # The CI serve gate holds the serve-path kernels to a 2% bar
-        # while ignoring substrate kernels (and their disappearance).
-        self.snapshot(8, {"BM_ServiceHandleCachedQuery": 100.0,
-                          "BM_HttpParseRequest": 100.0,
-                          "BM_SimdDot/avx2/128": 10.0})
-        cur = self.snapshot(9, {"BM_ServiceHandleCachedQuery": 101.0,
-                                "BM_HttpParseRequest": 101.0},
-                            name="current.json")
-        self.assertEqual(self.run_guard([
-            "compare", cur, "--baseline-dir", self.tmp.name,
-            "--tolerance", "0.02",
-            "--only-prefix", "BM_ServiceHandleCachedQuery",
-            "--only-prefix", "BM_HttpParseRequest"]), 0)
-        # The same 2% bar trips on a 3% serve-path slowdown.
-        worse = self.snapshot(9, {"BM_ServiceHandleCachedQuery": 103.0,
-                                  "BM_HttpParseRequest": 100.0},
-                              name="worse.json")
-        self.assertEqual(self.run_guard([
-            "compare", worse, "--baseline-dir", self.tmp.name,
-            "--tolerance", "0.02",
-            "--only-prefix", "BM_ServiceHandleCachedQuery",
-            "--only-prefix", "BM_HttpParseRequest"]), 1)
+    def test_row_only_head_reports_is_new_and_passes(self):
+        base_rows = dict(ROWS)
+        del base_rows["BM_ServiceHandleCachedQuery"]
+        rc, out, err = self.ab(self.noisy(base_rows), self.noisy())
+        self.assertEqual(rc, 0, err)
+        new = [line for line in out.splitlines() if "(new" in line]
+        self.assertEqual(len(new), 1, out)
+        self.assertIn("BM_ServiceHandleCachedQuery", new[0])
+        self.assertIn("1 new", out)
 
-    def test_compare_without_any_baseline_arg_fails(self):
-        cur = self.snapshot(7, {"BM_SimdDot/avx2/128": 20.0},
-                            name="current.json")
-        self.assertEqual(self.run_guard(["compare", cur]), 1)
+    def test_too_few_pairs_fails(self):
+        pairs = bench_guard.MIN_PAIRS - 1
+        rc, _, err = self.ab(self.noisy(pairs=pairs), self.noisy(pairs=pairs))
+        self.assertEqual(rc, 1)
+        self.assertIn("needs at least", err)
+
+    def test_unpaired_run_files_fail(self):
+        rc, _, err = self.ab(self.noisy(pairs=11), self.noisy(pairs=10))
+        self.assertEqual(rc, 1)
+        self.assertIn("do not pair up", err)
 
 
 if __name__ == "__main__":

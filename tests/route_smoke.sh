@@ -4,8 +4,8 @@
 # ports, send 20 queries through the router over one client connection,
 # and assert from the router's /metrics that its forwards reused pooled
 # keep-alive sockets (lsi.shard.connects <= 2, one per backend).
-# Arguments: $1 = lsi_tool binary, $2 = corpus TSV. Needs python3 (its
-# http.client drives the requests). Exits nonzero on any failure.
+# Arguments: $1 = lsi_tool binary, $2 = corpus TSV. Needs python3
+# (http_probe.py drives the requests). Exits nonzero on any failure.
 set -e
 
 TOOL="$1"
@@ -64,10 +64,13 @@ start "$TOOL" route --shard="127.0.0.1:$B0" --shard="127.0.0.1:$B1" \
   --port=0 --host=127.0.0.1
 ROUTER="$(wait_port "$WORKDIR/router.log" routing)"
 
-python3 - "$ROUTER" <<'EOF'
+PYTHONPATH="$(dirname "$0")" PYTHONDONTWRITEBYTECODE=1 \
+  python3 - "$ROUTER" <<'EOF'
 import http.client
 import json
 import sys
+
+from http_probe import metric, request
 
 port = int(sys.argv[1])
 conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
@@ -76,27 +79,15 @@ for i in range(20):
     # Distinct queries: each one misses the router cache and scatters.
     query = "%s %s %d" % (words[i % 5], words[(i + 2) % 5], i)
     body = json.dumps({"query": query, "top_k": 3})
-    conn.request("POST", "/query", body,
-                 {"Content-Type": "application/json"})
-    response = conn.getresponse()
-    payload = response.read()
+    response, payload = request(conn, "POST", "/query", body)
     assert response.status == 200, (response.status, payload)
     assert response.getheader("X-Lsi-Partial") is None, payload
     assert len(json.loads(payload)["hits"]) == 3, payload
 
-conn.request("GET", "/metrics")
-response = conn.getresponse()
-metrics = response.read().decode()
+response, metrics = request(conn, "GET", "/metrics")
 assert response.status == 200, response.status
-
-def counter(name):
-    for line in metrics.splitlines():
-        if line.startswith(name + " "):
-            return float(line.split()[1])
-    raise AssertionError("no %s in /metrics" % name)
-
-connects = counter("lsi_shard_connects_total")
-reuses = counter("lsi_shard_pool_reuses_total")
+connects = metric(metrics, "lsi_shard_connects_total")
+reuses = metric(metrics, "lsi_shard_pool_reuses_total")
 assert connects <= 2, "router opened %d connections" % connects
 assert reuses >= 38, "router reused pooled sockets %d times" % reuses
 print("route smoke: %d connects, %d reuses" % (connects, reuses))

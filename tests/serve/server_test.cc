@@ -242,6 +242,22 @@ TEST(HttpServerTest, StopDrainsAndIsIdempotent) {
   EXPECT_TRUE(idle.ServerClosed());
 }
 
+// Stop wakes the accept loop and an idle keep-alive worker at once,
+// not at their next poll timeout.
+TEST(HttpServerTest, StopIsPromptWithIdleKeepAliveConnection) {
+  HttpServer server(EchoHandler(), LoopbackOptions());
+  ASSERT_TRUE(server.Start().ok());
+  TestClient idle(server.port());
+  idle.Send("GET /warm HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(StatusOf(idle.ReadResponse()), 200);  // Now idle on keep-alive.
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.Stop();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+  EXPECT_TRUE(idle.ServerClosed());
+}
+
 TEST(HttpServerTest, FullAdmissionQueueAnswers503WithRetryAfter) {
   ServerOptions options = LoopbackOptions();
   options.max_queued_connections = 0;  // No connection is ever admitted.
