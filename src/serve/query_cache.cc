@@ -10,7 +10,6 @@ struct QueryCache::Metrics {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& evictions;
-  obs::Counter& expirations;
   obs::Counter& partial_rejected;
   obs::Gauge& entries;
   obs::Gauge& bytes;
@@ -22,8 +21,6 @@ struct QueryCache::Metrics {
         obs::MetricsRegistry::Global().GetCounter("lsi.serve.cache.hits"),
         obs::MetricsRegistry::Global().GetCounter("lsi.serve.cache.misses"),
         obs::MetricsRegistry::Global().GetCounter("lsi.serve.cache.evictions"),
-        obs::MetricsRegistry::Global().GetCounter(
-            "lsi.serve.cache.expirations"),
         obs::MetricsRegistry::Global().GetCounter(
             "lsi.serve.cache.partial_rejected"),
         obs::MetricsRegistry::Global().GetGauge("lsi.serve.cache.entries"),
@@ -60,10 +57,6 @@ QueryCache::Shard& QueryCache::ShardFor(const std::string& key) {
   return shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-std::chrono::steady_clock::time_point QueryCache::Now() const {
-  return options_.clock ? options_.clock() : std::chrono::steady_clock::now();
-}
-
 void QueryCache::EraseLocked(Shard& shard, std::list<Entry>::iterator it) {
   shard.bytes -= it->bytes;
   metrics_->bytes.Add(-static_cast<double>(it->bytes));
@@ -82,12 +75,6 @@ std::optional<std::vector<core::EngineHit>> QueryCache::Get(
   MutexLock lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    metrics_->misses.Increment();
-    return std::nullopt;
-  }
-  if (options_.ttl.count() > 0 && Now() >= it->second->expiry) {
-    EraseLocked(shard, it->second);
-    metrics_->expirations.Increment();
     metrics_->misses.Increment();
     return std::nullopt;
   }
@@ -145,7 +132,6 @@ void QueryCache::Put(const std::string& key,
   entry.key = key;
   entry.hits = hits;
   entry.bytes = entry_bytes;
-  if (options_.ttl.count() > 0) entry.expiry = Now() + options_.ttl;
   shard.lru.push_front(std::move(entry));
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += entry_bytes;
@@ -167,7 +153,6 @@ QueryCache::Stats QueryCache::stats() const {
   stats.hits = metrics_->hits.value();
   stats.misses = metrics_->misses.value();
   stats.evictions = metrics_->evictions.value();
-  stats.expirations = metrics_->expirations.value();
   for (const Shard& shard : shards_) {
     MutexLock lock(shard.mutex);
     stats.entries += shard.lru.size();

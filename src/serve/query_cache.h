@@ -2,10 +2,8 @@
 #define LSI_SERVE_QUERY_CACHE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <optional>
 #include <string>
@@ -27,13 +25,6 @@ struct QueryCacheOptions {
   /// Total byte budget across shards (approximate accounting: key bytes +
   /// hit payload + fixed per-entry overhead). 0 disables the cache.
   std::size_t max_bytes = 64ull * 1024 * 1024;
-  /// Entry lifetime; zero means entries never expire. Expiry matters even
-  /// for an immutable engine because the cache is sized in bytes, not
-  /// entries — TTL keeps one-off queries from squatting on the budget.
-  std::chrono::milliseconds ttl{0};
-  /// Test seam: overrides the clock TTL expiry reads. Defaults to
-  /// std::chrono::steady_clock::now.
-  std::function<std::chrono::steady_clock::time_point()> clock;
 };
 
 /// Sharded LRU cache for engine query results, keyed on the *analyzed*
@@ -41,7 +32,7 @@ struct QueryCacheOptions {
 /// "galaxy" share an entry, as do queries differing only in unknown
 /// terms. Thread-safe; every operation touches exactly one shard.
 ///
-/// Emits lsi.serve.cache.{hits,misses,evictions,expirations} counters and
+/// Emits lsi.serve.cache.{hits,misses,evictions} counters and
 /// lsi.serve.cache.{entries,bytes} gauges.
 class QueryCache {
  public:
@@ -55,7 +46,7 @@ class QueryCache {
       std::size_t top_k);
 
   /// Returns a copy of the cached hits, refreshing recency; nullopt on
-  /// miss or TTL expiry (the expired entry is dropped).
+  /// miss.
   std::optional<std::vector<core::EngineHit>> Get(const std::string& key);
 
   /// Inserts or refreshes `key`. Entries larger than a shard's whole
@@ -78,7 +69,6 @@ class QueryCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t expirations = 0;
     std::size_t entries = 0;
     std::size_t bytes = 0;
   };
@@ -92,7 +82,6 @@ class QueryCache {
     std::string key;
     std::vector<core::EngineHit> hits;
     std::size_t bytes = 0;
-    std::chrono::steady_clock::time_point expiry;
   };
 
   struct Shard {
@@ -108,7 +97,6 @@ class QueryCache {
   };
 
   Shard& ShardFor(const std::string& key);
-  std::chrono::steady_clock::time_point Now() const;
   void EraseLocked(Shard& shard, std::list<Entry>::iterator it)
       LSI_REQUIRES(shard.mutex);
   /// Empties `shard` if its entries predate `epoch`, and moves it there.

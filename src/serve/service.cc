@@ -26,13 +26,6 @@ Status DeadlineStatus() {
   return Status::FailedPrecondition(kDeadlineMessage);
 }
 
-HttpResponse JsonOk(std::string body) {
-  HttpResponse response;
-  response.content_type = "application/json; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
 /// Maps an engine/service Status to the HTTP response for it.
 HttpResponse StatusToResponse(const Status& status) {
   if (status.message() == kDeadlineMessage) {
@@ -62,35 +55,40 @@ JsonValue HitsToJson(const std::vector<core::EngineHit>& hits) {
   return JsonValue(std::move(items));
 }
 
-/// Extracts an optional positive-integer top_k from a parsed body.
-/// Returns false (with `*error` set) on a malformed value.
-bool ExtractTopK(const JsonValue& body, std::size_t default_top_k,
-                 std::size_t max_top_k, std::size_t* top_k,
-                 std::string* error) {
-  *top_k = default_top_k;
-  const JsonValue* field = body.Find("top_k");
-  if (field == nullptr) return true;
-  const double raw = field->number();
-  if (!field->is_number() || raw < 1.0 || raw != std::floor(raw) ||
-      raw > static_cast<double>(max_top_k)) {
-    *error = "top_k must be an integer in [1, " + std::to_string(max_top_k) +
-             "]";
-    return false;
+/// Parses one hits array back into EngineHits (the inverse of
+/// HitsToJson). False on shape mismatch.
+bool ParseHits(const JsonValue& array, std::vector<core::EngineHit>* out) {
+  if (!array.is_array()) return false;
+  out->reserve(array.array().size());
+  for (const JsonValue& item : array.array()) {
+    const JsonValue* document = item.Find("document");
+    const JsonValue* name = item.Find("name");
+    const JsonValue* score = item.Find("score");
+    if (document == nullptr || !document->is_number() || name == nullptr ||
+        !name->is_string() || score == nullptr || !score->is_number()) {
+      return false;
+    }
+    core::EngineHit hit;
+    hit.document = static_cast<std::size_t>(document->number());
+    hit.document_name = name->string_value();
+    hit.score = score->number();
+    out->push_back(std::move(hit));
   }
-  *top_k = static_cast<std::size_t>(raw);
   return true;
 }
 
-HttpResponse MethodNotAllowed(const char* allow) {
-  HttpResponse response = JsonError(405, "method not allowed");
-  response.extra_headers.emplace_back("Allow", allow);
-  return response;
-}
-
-HttpResponse RetryLater(std::string_view message) {
-  HttpResponse response = JsonError(503, message);
-  response.extra_headers.emplace_back("Retry-After", "1");
-  return response;
+/// Reads the optional top_k of a parsed body: kDefaultTopK when absent,
+/// InvalidArgument unless it is an integer in [1, kMaxTopK].
+Result<std::size_t> ExtractTopK(const JsonValue& body) {
+  const JsonValue* field = body.Find("top_k");
+  if (field == nullptr) return kDefaultTopK;
+  const double raw = field->number();
+  if (!field->is_number() || raw < 1.0 || raw != std::floor(raw) ||
+      raw > static_cast<double>(kMaxTopK)) {
+    return Status::InvalidArgument("top_k must be an integer in [1, " +
+                                   std::to_string(kMaxTopK) + "]");
+  }
+  return static_cast<std::size_t>(raw);
 }
 
 /// HTTP mapping for live-write Statuses. FailedPrecondition means the
@@ -159,11 +157,126 @@ bool NoStore(const HttpRequest& request) {
 
 }  // namespace
 
+Result<QueryBody> ParseQueryBody(std::string_view text) {
+  auto body = JsonValue::Parse(text);
+  if (!body.ok()) return body.status();
+  if (!body->is_object()) {
+    return Status::InvalidArgument("request body must be a JSON object");
+  }
+  auto top_k = ExtractTopK(*body);
+  if (!top_k.ok()) return top_k.status();
+  const JsonValue* single = body->Find("query");
+  const JsonValue* multi = body->Find("queries");
+  if ((single == nullptr) == (multi == nullptr)) {
+    return Status::InvalidArgument(
+        "body must have exactly one of query | queries");
+  }
+  QueryBody parsed;
+  parsed.top_k = *top_k;
+  if (single != nullptr) {
+    if (!single->is_string()) {
+      return Status::InvalidArgument("query must be a string");
+    }
+    parsed.queries.push_back(single->string_value());
+    return parsed;
+  }
+  if (!multi->is_array()) {
+    return Status::InvalidArgument("queries must be an array of strings");
+  }
+  const JsonValue::Array& items = multi->array();
+  if (items.empty() || items.size() > kMaxQueriesPerRequest) {
+    return Status::InvalidArgument("queries length must be in [1, " +
+                                   std::to_string(kMaxQueriesPerRequest) +
+                                   "]");
+  }
+  parsed.batch = true;
+  parsed.queries.reserve(items.size());
+  for (const JsonValue& q : items) {
+    if (!q.is_string()) {
+      return Status::InvalidArgument("queries must be an array of strings");
+    }
+    parsed.queries.push_back(q.string_value());
+  }
+  return parsed;
+}
+
+std::string SerializeQueryBody(const QueryBody& body) {
+  JsonValue::Object fields;
+  if (body.batch) {
+    JsonValue::Array queries(body.queries.begin(), body.queries.end());
+    fields.emplace_back("queries", JsonValue(std::move(queries)));
+  } else {
+    fields.emplace_back("query", JsonValue(body.queries.front()));
+  }
+  fields.emplace_back("top_k", JsonValue(static_cast<double>(body.top_k)));
+  return JsonValue(std::move(fields)).Serialize();
+}
+
+JsonValue::Object QueryReply(
+    const std::vector<std::vector<core::EngineHit>>& results, bool batch) {
+  JsonValue::Object reply;
+  if (!batch) {
+    reply.emplace_back("hits", HitsToJson(results.front()));
+    return reply;
+  }
+  JsonValue::Array rendered;
+  rendered.reserve(results.size());
+  for (const auto& hits : results) rendered.push_back(HitsToJson(hits));
+  reply.emplace_back("results", JsonValue(std::move(rendered)));
+  return reply;
+}
+
+Result<std::vector<std::vector<core::EngineHit>>> ParseQueryReply(
+    std::string_view text, const QueryBody& request) {
+  auto reply = JsonValue::Parse(text);
+  if (!reply.ok()) return reply.status();
+  auto bad = [] {
+    return Status::InvalidArgument("serve: malformed /query reply");
+  };
+  const std::size_t num_queries = request.queries.size();
+  std::vector<std::vector<core::EngineHit>> lists(num_queries);
+  if (!request.batch) {
+    const JsonValue* hits = reply->Find("hits");
+    if (hits == nullptr || !ParseHits(*hits, &lists[0])) {
+      return bad();
+    }
+    return lists;
+  }
+  const JsonValue* results = reply->Find("results");
+  if (results == nullptr || !results->is_array() ||
+      results->array().size() != num_queries) {
+    return bad();
+  }
+  for (std::size_t q = 0; q < num_queries; ++q) {
+    if (!ParseHits(results->array()[q], &lists[q])) return bad();
+  }
+  return lists;
+}
+
 HttpResponse JsonError(int status, std::string_view message) {
   HttpResponse response;
   response.status = status;
   response.content_type = "application/json; charset=utf-8";
   response.body = "{\"error\":" + JsonQuote(message) + "}";
+  return response;
+}
+
+HttpResponse JsonOk(std::string body) {
+  HttpResponse response;
+  response.content_type = "application/json; charset=utf-8";
+  response.body = std::move(body);
+  return response;
+}
+
+HttpResponse RetryLater(std::string_view message) {
+  HttpResponse response = JsonError(503, message);
+  response.extra_headers.emplace_back("Retry-After", "1");
+  return response;
+}
+
+HttpResponse MethodNotAllowed(const char* allow) {
+  HttpResponse response = JsonError(405, "method not allowed");
+  response.extra_headers.emplace_back("Allow", allow);
   return response;
 }
 
@@ -405,75 +518,20 @@ HttpResponse LsiService::HandleQuery(
   if (shut_down_.load(std::memory_order_acquire)) {
     return RetryLater("shutting down, retry later");
   }
-  auto body = JsonValue::Parse(request.body);
+  auto body = ParseQueryBody(request.body);
   if (!body.ok()) return JsonError(400, body.status().message());
-  if (!body->is_object()) {
-    return JsonError(400, "request body must be a JSON object");
-  }
-  std::size_t top_k = options_.default_top_k;
-  std::string top_k_error;
-  if (!ExtractTopK(*body, options_.default_top_k, options_.max_top_k, &top_k,
-                   &top_k_error)) {
-    return JsonError(400, top_k_error);
-  }
-
-  const JsonValue* single = body->Find("query");
-  const JsonValue* multi = body->Find("queries");
-  if ((single == nullptr) == (multi == nullptr)) {
-    return JsonError(400, "body must have exactly one of query | queries");
-  }
-  const bool store = !NoStore(request);
   std::uint64_t epoch = 0;
+  auto results =
+      RunQuery(body->queries, body->top_k, !NoStore(request), deadline, &epoch);
+  if (!results.ok()) return StatusToResponse(results.status());
+  HttpResponse response =
+      JsonOk(JsonValue(QueryReply(*results, body->batch)).Serialize());
   // Live replies name their epoch, so a caching router can tell that
   // they will change with the next write.
-  auto tagged = [&](HttpResponse response) {
-    if (live_ != nullptr) {
-      response.extra_headers.emplace_back("X-Lsi-Epoch",
-                                          std::to_string(epoch));
-    }
-    return response;
-  };
-
-  if (single != nullptr) {
-    if (!single->is_string()) {
-      return JsonError(400, "query must be a string");
-    }
-    auto result =
-        RunQuery({single->string_value()}, top_k, store, deadline, &epoch);
-    if (!result.ok()) return StatusToResponse(result.status());
-    JsonValue::Object reply;
-    reply.emplace_back("hits", HitsToJson(result->front()));
-    return tagged(JsonOk(JsonValue(std::move(reply)).Serialize()));
+  if (live_ != nullptr) {
+    response.extra_headers.emplace_back("X-Lsi-Epoch", std::to_string(epoch));
   }
-
-  if (!multi->is_array()) {
-    return JsonError(400, "queries must be an array of strings");
-  }
-  const JsonValue::Array& items = multi->array();
-  if (items.empty() || items.size() > options_.max_queries_per_request) {
-    return JsonError(400,
-                     "queries length must be in [1, " +
-                         std::to_string(options_.max_queries_per_request) +
-                         "]");
-  }
-  std::vector<std::string> queries;
-  queries.reserve(items.size());
-  for (const JsonValue& q : items) {
-    if (!q.is_string()) {
-      return JsonError(400, "queries must be an array of strings");
-    }
-    queries.push_back(q.string_value());
-  }
-  auto results = RunQuery(queries, top_k, store, deadline, &epoch);
-  if (!results.ok()) return StatusToResponse(results.status());
-  JsonValue::Array rendered;
-  rendered.reserve(results->size());
-  for (const auto& hits : results.value()) {
-    rendered.push_back(HitsToJson(hits));
-  }
-  JsonValue::Object reply;
-  reply.emplace_back("results", JsonValue(std::move(rendered)));
-  return tagged(JsonOk(JsonValue(std::move(reply)).Serialize()));
+  return response;
 }
 
 HttpResponse LsiService::HandleRelated(const HttpRequest& request) {
@@ -486,13 +544,9 @@ HttpResponse LsiService::HandleRelated(const HttpRequest& request) {
   if (term == nullptr || !term->is_string()) {
     return JsonError(400, "body must have a string term");
   }
-  std::size_t top_k = options_.default_top_k;
-  std::string top_k_error;
-  if (!ExtractTopK(*body, options_.default_top_k, options_.max_top_k, &top_k,
-                   &top_k_error)) {
-    return JsonError(400, top_k_error);
-  }
-  auto related = CurrentEngine()->RelatedTerms(term->string_value(), top_k);
+  auto top_k = ExtractTopK(*body);
+  if (!top_k.ok()) return JsonError(400, top_k.status().message());
+  auto related = CurrentEngine()->RelatedTerms(term->string_value(), *top_k);
   if (!related.ok()) return StatusToResponse(related.status());
   JsonValue::Array items;
   items.reserve(related->size());
@@ -533,8 +587,6 @@ HttpResponse LsiService::HandleStatusz() {
                      JsonValue(static_cast<double>(cache_stats.misses)));
   cache.emplace_back("evictions",
                      JsonValue(static_cast<double>(cache_stats.evictions)));
-  cache.emplace_back("expirations",
-                     JsonValue(static_cast<double>(cache_stats.expirations)));
 
   JsonValue::Object requests;
   for (const char* klass : {"2xx", "4xx", "5xx"}) {

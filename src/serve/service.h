@@ -7,12 +7,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/result.h"
 #include "core/engine.h"
 #include "live/live_engine.h"
 #include "live/wal.h"
 #include "serve/http.h"
+#include "serve/json.h"
 #include "serve/query_cache.h"
 
 namespace lsi::serve {
@@ -21,12 +24,6 @@ namespace lsi::serve {
 /// ServerOptions).
 struct ServiceOptions {
   QueryCacheOptions cache;
-  /// top_k when a request body omits it.
-  std::size_t default_top_k = 10;
-  /// Requests asking for more than this are rejected with 400.
-  std::size_t max_top_k = 1000;
-  /// Upper bound on "queries" array length in one /query body.
-  std::size_t max_queries_per_request = 64;
   /// Live mode: largest accepted /add // /update document text.
   std::size_t max_document_bytes = 1 << 20;
   /// Live mode: write requests in flight beyond this answer 503.
@@ -116,8 +113,58 @@ class LsiService {
   std::chrono::steady_clock::time_point start_time_;
 };
 
+// The /query wire contract, shared by LsiService and shard::Router so a
+// router accepts exactly the bodies its backends accept and answers in
+// the same bytes.
+
+/// top_k when a /query or /related body omits it.
+inline constexpr std::size_t kDefaultTopK = 10;
+/// Bodies asking for a larger top_k are rejected with 400.
+inline constexpr std::size_t kMaxTopK = 1000;
+/// Upper bound on the "queries" array length of one /query body.
+inline constexpr std::size_t kMaxQueriesPerRequest = 64;
+
+/// A validated /query body.
+struct QueryBody {
+  std::vector<std::string> queries;
+  /// The body used "queries", so the reply is {"results": [...]}, not
+  /// {"hits": [...]}.
+  bool batch = false;
+  std::size_t top_k = kDefaultTopK;
+};
+
+/// Parses a /query body: a JSON object with exactly one of "query" (a
+/// string) or "queries" (1 to kMaxQueriesPerRequest strings), and an
+/// optional integer "top_k" in [1, kMaxTopK]. On a bad body the error
+/// message is what the 400 reply says.
+Result<QueryBody> ParseQueryBody(std::string_view text);
+
+/// The canonical body for `body`: exactly the fields ParseQueryBody
+/// reads, top_k always present.
+std::string SerializeQueryBody(const QueryBody& body);
+
+/// The /query reply object for one hit list per query: {"hits": [...]}
+/// with `batch` unset (one list), else {"results": [[...], ...]}. Each
+/// hit is {"document", "name", "score"}, in that order.
+JsonValue::Object QueryReply(
+    const std::vector<std::vector<core::EngineHit>>& results, bool batch);
+
+/// The inverse of QueryReply: the hit lists of a serialized reply to
+/// `request`, one per query. Fails on any other shape.
+Result<std::vector<std::vector<core::EngineHit>>> ParseQueryReply(
+    std::string_view text, const QueryBody& request);
+
 /// {"error": "<message>"} with the right content type.
 HttpResponse JsonError(int status, std::string_view message);
+
+/// A 200 with a JSON body.
+HttpResponse JsonOk(std::string body);
+
+/// 503 with "Retry-After: 1".
+HttpResponse RetryLater(std::string_view message);
+
+/// 405 naming the allowed method.
+HttpResponse MethodNotAllowed(const char* allow);
 
 }  // namespace lsi::serve
 

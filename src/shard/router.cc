@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -23,66 +22,12 @@ namespace {
 
 using std::chrono::steady_clock;
 
-serve::HttpResponse RetryLater(std::string_view message) {
-  serve::HttpResponse response = serve::JsonError(503, message);
-  response.extra_headers.emplace_back("Retry-After", "1");
-  return response;
-}
+/// Floor of the p95-derived hedge delay.
+constexpr std::chrono::milliseconds kHedgeMin{20};
 
-serve::HttpResponse MethodNotAllowed(const char* allow) {
-  serve::HttpResponse response = serve::JsonError(405, "method not allowed");
-  response.extra_headers.emplace_back("Allow", allow);
-  return response;
-}
-
-serve::HttpResponse JsonOk(std::string body) {
-  serve::HttpResponse response;
-  response.content_type = "application/json; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
-/// Same rendering as LsiService's hits (field order included): the
-/// router's full-result body must be byte-identical to what a single
-/// unsharded server would have answered.
-serve::JsonValue HitsToJson(const std::vector<core::EngineHit>& hits) {
-  serve::JsonValue::Array items;
-  items.reserve(hits.size());
-  for (const core::EngineHit& hit : hits) {
-    serve::JsonValue::Object fields;
-    fields.emplace_back("document",
-                        serve::JsonValue(static_cast<double>(hit.document)));
-    fields.emplace_back("name", serve::JsonValue(hit.document_name));
-    fields.emplace_back("score", serve::JsonValue(hit.score));
-    items.emplace_back(std::move(fields));
-  }
-  return serve::JsonValue(std::move(items));
-}
-
-/// Parses one backend hits array back into EngineHits (the inverse of
-/// HitsToJson). False on shape mismatch.
-bool ParseHits(const serve::JsonValue& array,
-               std::vector<core::EngineHit>* out) {
-  if (!array.is_array()) return false;
-  out->clear();
-  out->reserve(array.array().size());
-  for (const serve::JsonValue& item : array.array()) {
-    if (!item.is_object()) return false;
-    const serve::JsonValue* document = item.Find("document");
-    const serve::JsonValue* name = item.Find("name");
-    const serve::JsonValue* score = item.Find("score");
-    if (document == nullptr || !document->is_number() || name == nullptr ||
-        !name->is_string() || score == nullptr || !score->is_number()) {
-      return false;
-    }
-    core::EngineHit hit;
-    hit.document = static_cast<std::size_t>(document->number());
-    hit.document_name = name->string_value();
-    hit.score = score->number();
-    out->push_back(std::move(hit));
-  }
-  return true;
-}
+using serve::JsonOk;
+using serve::MethodNotAllowed;
+using serve::RetryLater;
 
 /// A keep-alive (HTTP/1.1 default) /query forward.
 std::string SerializeForward(const std::string& host_header,
@@ -268,70 +213,25 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   if (!started_) return RetryLater("router not started");
   requests_->Increment();
 
-  auto body = serve::JsonValue::Parse(request.body);
+  auto body = serve::ParseQueryBody(request.body);
   if (!body.ok()) return serve::JsonError(400, body.status().message());
-  if (!body->is_object()) {
-    return serve::JsonError(400, "request body must be a JSON object");
-  }
-  std::size_t top_k = options_.default_top_k;
-  if (const serve::JsonValue* field = body->Find("top_k")) {
-    const double raw = field->number();
-    if (!field->is_number() || raw < 1.0 || raw != std::floor(raw) ||
-        raw > static_cast<double>(options_.max_top_k)) {
-      return serve::JsonError(400, "top_k must be an integer in [1, " +
-                                       std::to_string(options_.max_top_k) +
-                                       "]");
-    }
-    top_k = static_cast<std::size_t>(raw);
-  }
-  const serve::JsonValue* single = body->Find("query");
-  const serve::JsonValue* multi = body->Find("queries");
-  if ((single == nullptr) == (multi == nullptr)) {
-    return serve::JsonError(400,
-                            "body must have exactly one of query | queries");
-  }
-  if (single != nullptr && !single->is_string()) {
-    return serve::JsonError(400, "query must be a string");
-  }
-  std::size_t num_queries = 1;
-  if (multi != nullptr) {
-    if (!multi->is_array() || multi->array().empty()) {
-      return serve::JsonError(400,
-                              "queries must be a non-empty array of strings");
-    }
-    for (const serve::JsonValue& q : multi->array()) {
-      if (!q.is_string()) {
-        return serve::JsonError(400, "queries must be an array of strings");
-      }
-    }
-    num_queries = multi->array().size();
-  }
+  const std::size_t num_queries = body->queries.size();
 
   // Full single-query results are cacheable; the key needs no engine
   // canonicalization (the backends canonicalize for their own caches),
   // just the shard topology so a resharded router never aliases.
   std::string cache_key;
-  if (single != nullptr) {
-    cache_key = "shard|" + single->string_value() + "|k" +
-                std::to_string(top_k) + "|n" + std::to_string(num_shards_);
+  if (!body->batch) {
+    cache_key = "shard|" + body->queries.front() + "|k" +
+                std::to_string(body->top_k) + "|n" +
+                std::to_string(num_shards_);
     if (auto cached = cache_.Get(cache_key)) {
-      serve::JsonValue::Object reply;
-      reply.emplace_back("hits", HitsToJson(*cached));
-      return JsonOk(serve::JsonValue(std::move(reply)).Serialize());
+      std::vector<std::vector<core::EngineHit>> lists(1);
+      lists[0] = std::move(*cached);
+      return JsonOk(
+          serve::JsonValue(serve::QueryReply(lists, false)).Serialize());
     }
   }
-
-  // Canonical forward body: exactly the fields a backend needs.
-  serve::JsonValue::Object forward;
-  if (single != nullptr) {
-    forward.emplace_back("query", *single);
-  } else {
-    forward.emplace_back("queries", *multi);
-  }
-  forward.emplace_back("top_k",
-                       serve::JsonValue(static_cast<double>(top_k)));
-  const std::string forward_body =
-      serve::JsonValue(std::move(forward)).Serialize();
 
   // A query this router caches is answered from here when it repeats,
   // so the backends need not keep their own copy of each shard's list.
@@ -340,7 +240,7 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   const bool no_store = !cache_key.empty() && options_.cache.max_bytes > 0 &&
                         !live_backends_.load(std::memory_order_relaxed);
   const std::vector<ShardOutcome> outcomes =
-      Scatter(forward_body, no_store, deadline);
+      Scatter(serve::SerializeQueryBody(*body), no_store, deadline);
   bool live = false;
   for (const ShardOutcome& outcome : outcomes) live |= outcome.live;
   if (live) live_backends_.store(true, std::memory_order_relaxed);
@@ -352,31 +252,11 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   std::size_t shards_ok = 0;
   for (const ShardOutcome& outcome : outcomes) {
     if (!outcome.ok) continue;
-    auto parsed = serve::JsonValue::Parse(outcome.body);
-    if (!parsed.ok() || !parsed->is_object()) continue;
-    bool shard_good = true;
-    std::vector<std::vector<core::EngineHit>> lists(num_queries);
-    if (single != nullptr) {
-      const serve::JsonValue* hits = parsed->Find("hits");
-      if (hits == nullptr || !ParseHits(*hits, &lists[0])) shard_good = false;
-    } else {
-      const serve::JsonValue* results = parsed->Find("results");
-      if (results == nullptr || !results->is_array() ||
-          results->array().size() != num_queries) {
-        shard_good = false;
-      } else {
-        for (std::size_t q = 0; q < num_queries; ++q) {
-          if (!ParseHits(results->array()[q], &lists[q])) {
-            shard_good = false;
-            break;
-          }
-        }
-      }
-    }
-    if (!shard_good) continue;
+    auto lists = serve::ParseQueryReply(outcome.body, *body);
+    if (!lists.ok()) continue;
     ++shards_ok;
     for (std::size_t q = 0; q < num_queries; ++q) {
-      per_query[q].push_back(std::move(lists[q]));
+      per_query[q].push_back(std::move((*lists)[q]));
     }
   }
 
@@ -397,28 +277,20 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   std::vector<std::vector<core::EngineHit>> merged;
   merged.reserve(num_queries);
   for (std::size_t q = 0; q < num_queries; ++q) {
-    merged.push_back(core::MergeTopKHits(std::move(per_query[q]), top_k));
+    merged.push_back(core::MergeTopKHits(std::move(per_query[q]), body->top_k));
   }
 
   if (partial) partials_->Increment();
   // A live backend's answer changes with its next write, which this key
   // cannot see: only results from static backends are cached.
-  if (single != nullptr && !live) {
+  if (!body->batch && !live) {
     // The cache admission check is the safety net here: a partial Put
     // is refused, so a brownout's subset answer can never be replayed
     // as a full one after the shard heals.
     cache_.Put(cache_key, merged[0], /*is_partial=*/partial);
   }
 
-  serve::JsonValue::Object reply;
-  if (single != nullptr) {
-    reply.emplace_back("hits", HitsToJson(merged[0]));
-  } else {
-    serve::JsonValue::Array rendered;
-    rendered.reserve(num_queries);
-    for (const auto& hits : merged) rendered.push_back(HitsToJson(hits));
-    reply.emplace_back("results", serve::JsonValue(std::move(rendered)));
-  }
+  serve::JsonValue::Object reply = serve::QueryReply(merged, body->batch);
   if (partial) {
     reply.emplace_back("shards_ok",
                        serve::JsonValue(static_cast<double>(shards_ok)));
@@ -461,8 +333,7 @@ std::vector<std::size_t> Router::DispatchPlan(std::size_t shard,
     const double p95 = sorted[(samples * 95) / 100 >= samples
                                   ? samples - 1
                                   : (samples * 95) / 100];
-    *hedge_delay_ms = std::max(
-        p95, static_cast<double>(options_.hedge_min.count()));
+    *hedge_delay_ms = std::max(p95, static_cast<double>(kHedgeMin.count()));
   } else {
     *hedge_delay_ms = static_cast<double>(options_.hedge_initial.count());
   }

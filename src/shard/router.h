@@ -41,12 +41,9 @@ struct RouterOptions {
   /// Health prober cadence and per-probe budget.
   std::chrono::milliseconds health_interval{1000};
   std::chrono::milliseconds probe_timeout{500};
-  /// Hedge delay = clamp(p95 of the shard's recent latencies,
-  /// hedge_min, ∞); hedge_initial is used until enough samples exist.
-  std::chrono::milliseconds hedge_min{20};
+  /// Hedge delay = max(p95 of the shard's recent latencies, 20 ms);
+  /// hedge_initial is used until enough samples exist.
   std::chrono::milliseconds hedge_initial{100};
-  std::size_t default_top_k = 10;
-  std::size_t max_top_k = 100;
   BreakerOptions breaker;
   /// Full-result cache (partials are refused by QueryCache itself).
   /// While it is on, single-query forwards carry "Cache-Control:
@@ -62,16 +59,17 @@ struct RouterOptions {
 ///
 /// Handle() plugs into HttpServer exactly like LsiService::Handle and
 /// serves the same read routes (/query, /healthz, /statusz, /metrics).
-/// A /query fans out to every shard with the remaining deadline budget
+/// A /query body passes serve::ParseQueryBody, the backends' own check,
+/// before it fans out to every shard with the remaining deadline budget
 /// propagated in X-Lsi-Deadline-Ms (backends shed what they cannot
-/// finish with 504), drives all fetches from the handler thread in one
-/// poll loop, hedges slow shards once to the next replica after a
-/// p95-derived delay, and merges per-shard top-k lists with
-/// core::MergeTopKHits — bit-identical to the unsharded answer when
-/// every shard reports in (see ShardSet). Per-replica three-state
-/// breakers (fed by query outcomes and a background /healthz prober
-/// with capped-jittered-backoff re-probes) keep dead backends out of
-/// the scatter path.
+/// finish with 504). The router drives all fetches from the handler
+/// thread in one poll loop, hedges slow shards once to the next replica
+/// after a p95-derived delay, and merges per-shard top-k lists with
+/// core::MergeTopKHits, rendered by serve::QueryReply — byte-identical
+/// to the unsharded answer when every shard reports in (see ShardSet).
+/// Per-replica three-state breakers (fed by query outcomes and a
+/// background /healthz prober with capped-jittered-backoff re-probes)
+/// keep dead backends out of the scatter path.
 ///
 /// Forwards travel over a per-replica pool of idle keep-alive sockets:
 /// a fetch takes one (or connects when the pool is empty) and hands it

@@ -2,8 +2,9 @@
 # Smoke test for the routed path: index a corpus, boot two `lsi_tool
 # serve` backends and one `lsi_tool route` in front of them on ephemeral
 # ports, send 20 queries through the router over one client connection,
-# and assert from the router's /metrics that its forwards reused pooled
-# keep-alive sockets (lsi.shard.connects <= 2, one per backend).
+# then a 65-query batch (400) and one more query (200), and assert from
+# the router's /metrics that its forwards reused pooled keep-alive
+# sockets (lsi.shard.connects <= 2, one per backend).
 # Arguments: $1 = lsi_tool binary, $2 = corpus TSV. Needs python3
 # (http_probe.py drives the requests). Exits nonzero on any failure.
 set -e
@@ -83,6 +84,15 @@ for i in range(20):
     assert response.status == 200, (response.status, payload)
     assert response.getheader("X-Lsi-Partial") is None, payload
     assert len(json.loads(payload)["hits"]) == 3, payload
+
+# A batch over the 64-query cap is refused by the router itself, and
+# the backends stay in service for the next query.
+body = json.dumps({"queries": ["galaxies %d" % i for i in range(65)]})
+response, payload = request(conn, "POST", "/query", body)
+assert response.status == 400, (response.status, payload)
+body = json.dumps({"query": "galaxies and planets", "top_k": 3})
+response, payload = request(conn, "POST", "/query", body)
+assert response.status == 200, (response.status, payload)
 
 response, metrics = request(conn, "GET", "/metrics")
 assert response.status == 200, response.status

@@ -1,6 +1,5 @@
 #include "serve/query_cache.h"
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -99,23 +98,6 @@ TEST(QueryCacheTest, ReplacingAnEntryUpdatesAccounting) {
   EXPECT_GT(cache.bytes(), small);
   cache.Put("k", Hits("short", 1));
   EXPECT_EQ(cache.bytes(), small);
-}
-
-TEST(QueryCacheTest, TtlExpiresEntries) {
-  auto now = std::chrono::steady_clock::now();
-  // Manual clock: the test advances `fake_now` explicitly.
-  auto fake_now = now;
-  QueryCacheOptions options = SingleShard(1 << 20);
-  options.ttl = std::chrono::milliseconds(100);
-  options.clock = [&fake_now] { return fake_now; };
-  QueryCache cache(options);
-
-  cache.Put("k", Hits("x"));
-  fake_now += std::chrono::milliseconds(99);
-  EXPECT_TRUE(cache.Get("k").has_value());  // Just inside the TTL.
-  fake_now += std::chrono::milliseconds(2);
-  EXPECT_FALSE(cache.Get("k").has_value());  // Expired and dropped.
-  EXPECT_EQ(cache.entries(), 0u);
 }
 
 TEST(QueryCacheTest, PartialResultsAreNeverAdmitted) {

@@ -257,6 +257,12 @@ TEST_F(RouterTest, FullResultIsByteIdenticalToUnshardedService) {
   ASSERT_EQ(multi_response.status, 200) << multi_response.body;
   EXPECT_EQ(multi_response.body, BaselineBody(multi));
 
+  // The router takes the backends' own top_k limit (1000).
+  const std::string wide = R"({"query": "moon engine pasta", "top_k": 500})";
+  serve::HttpResponse wide_response = router.Handle(QueryRequest(wide), Soon());
+  ASSERT_EQ(wide_response.status, 200) << wide_response.body;
+  EXPECT_EQ(wide_response.body, BaselineBody(wide));
+
   router.Stop();
   b0.Stop();
   b1.Stop();
@@ -325,7 +331,7 @@ TEST_F(RouterTest, ValidatesRequestBodies) {
           .status,
       400);
   EXPECT_EQ(
-      router.Handle(QueryRequest(R"({"query": "a", "top_k": 101})"), Soon())
+      router.Handle(QueryRequest(R"({"query": "a", "top_k": 1001})"), Soon())
           .status,
       400);
   serve::HttpRequest get = QueryRequest("{}");
@@ -336,6 +342,45 @@ TEST_F(RouterTest, ValidatesRequestBodies) {
 
   router.Stop();
   b0.Stop();
+}
+
+// A batch over the backends' 64-query cap is the client's error: the
+// router answers 400 itself and never forwards it. A forward would come
+// back 400 from every backend, count as a breaker failure on each, and
+// three such batches would eject every replica.
+TEST_F(RouterTest, OverlongBatchIsA400AndEjectsNoBackend) {
+  Backend b0(set_->shard(0));
+  Backend b1(set_->shard(1));
+  b0.Start();
+  b1.Start();
+  RouterOptions options = BaseRouterOptions();
+  options.shards = {{b0.address()}, {b1.address()}};
+  Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  std::string overlong = R"({"queries": [)";
+  for (int i = 0; i < 65; ++i) {
+    overlong += std::string(i == 0 ? "" : ", ") + "\"moon " +
+                std::to_string(i) + "\"";
+  }
+  overlong += "]}";
+  for (int i = 0; i < 3; ++i) {
+    serve::HttpResponse response =
+        router.Handle(QueryRequest(overlong), Soon());
+    EXPECT_EQ(response.status, 400) << response.body;
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(router.ReplicaState(s, 0), BreakerState::kHealthy) << s;
+    }
+  }
+
+  const std::string valid = R"({"query": "astronauts near the moon"})";
+  serve::HttpResponse response = router.Handle(QueryRequest(valid), Soon());
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(response.body, BaselineBody(valid));
+
+  router.Stop();
+  b0.Stop();
+  b1.Stop();
 }
 
 TEST_F(RouterTest, DegradePolicyAnswersOverSurvivingShards) {
@@ -770,7 +815,7 @@ TEST_F(RouterTest, CachingRouterNeverServesStaleResultsFromLiveBackend) {
     backend.Start();
     RouterOptions options = BaseRouterOptions();
     options.shards = {{backend.address()}};
-    Router router(std::move(options));  // Default cache: on, no TTL.
+    Router router(std::move(options));  // Default cache: on.
     ASSERT_TRUE(router.Start().ok());
 
     const serve::HttpRequest probe =

@@ -50,8 +50,7 @@
 //
 //   lsi_tool route --shard=host:port[,host:port...] [--shard=...]
 //                  [--port=N] [--host=A] [--deadline-ms=N]
-//                  [--partial=degrade|fail] [--hedge-min-ms=N]
-//                  [--hedge-initial-ms=N] [--health-interval-ms=N]
+//                  [--partial=degrade|fail] [--health-interval-ms=N]
 //                  [--cache-mb=N]
 //       Scatter-gather router over shard backends (each one a
 //       `lsi_tool serve` holding that shard's slice). Every --shard
@@ -133,8 +132,6 @@ int Usage() {
                "[--shard=...]\n"
                "                 [--port=N] [--host=A] [--deadline-ms=N]\n"
                "                 [--partial=degrade|fail] "
-               "[--hedge-min-ms=N]\n"
-               "                 [--hedge-initial-ms=N] "
                "[--health-interval-ms=N]\n"
                "                 [--cache-mb=N]\n"
                "  lsi_tool add <live-dir> <name> <text...>\n"
@@ -558,14 +555,6 @@ int CommandRoute(int argc, char** argv) {
       } else {
         ok = false;
       }
-    } else if (std::strncmp(arg, "--hedge-min-ms=", 15) == 0) {
-      std::size_t ms = 0;
-      ok = ParseSizeValue(arg + 15, &ms);
-      options.hedge_min = std::chrono::milliseconds(ms);
-    } else if (std::strncmp(arg, "--hedge-initial-ms=", 19) == 0) {
-      std::size_t ms = 0;
-      ok = ParseSizeValue(arg + 19, &ms) && ms > 0;
-      options.hedge_initial = std::chrono::milliseconds(ms);
     } else if (std::strncmp(arg, "--health-interval-ms=", 21) == 0) {
       std::size_t ms = 0;
       ok = ParseSizeValue(arg + 21, &ms) && ms > 0;
