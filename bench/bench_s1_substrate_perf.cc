@@ -5,6 +5,7 @@
 // paper experiment; CI's bench job runs the guarded rows of the merge
 // base and of the head side by side (ci/bench_guard.py ab).
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -210,16 +211,27 @@ void BM_CosineScoreThreads(benchmark::State& state,
   state.counters["docs"] = static_cast<double>(docs);
 }
 
-// Raw dot-product kernel throughput at a serving-size rank.
+// Raw dot-product kernel throughput at a serving-size rank. Both operands
+// start on a cache line. A heap block lands wherever the rows that ran
+// before left room, and when that put the 4096 operands off a 32-byte
+// boundary, half of the AVX2 loads straddled cache lines: repetitions
+// of that row read about 0.55 or 0.93 us depending on the heap.
 void BM_SimdDot(benchmark::State& state, lsi::linalg::simd::Path path) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   lsi::Rng rng(37);
-  auto data = lsi::linalg::GaussianMatrix(2, n, rng);
+  const auto data = lsi::linalg::GaussianMatrix(2, n, rng);
+  struct alignas(64) Line {
+    double values[64 / sizeof(double)];
+  };
+  std::vector<Line> lines((2 * n * sizeof(double) + 63) / 64);
+  double* a = lines.front().values;
+  double* b = a + n;
+  std::copy(data.RowPtr(0), data.RowPtr(0) + n, a);
+  std::copy(data.RowPtr(1), data.RowPtr(1) + n, b);
   ScopedSimdPath pin(state, path);
   if (!pin.ok()) return;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lsi::linalg::simd::Dot(data.RowPtr(0), data.RowPtr(1), n));
+    benchmark::DoNotOptimize(lsi::linalg::simd::Dot(a, b, n));
   }
 }
 

@@ -61,9 +61,9 @@ T Unwrap(Result<T> result, const char* what) {
 }
 
 /// Snapshots the global metrics registry (solver convergence counters,
-/// span timings) into `BENCH_<experiment>_metrics.json` in the working
-/// directory, so every run's telemetry travels with its results. Call
-/// once at the end of main().
+/// stage latency histograms) into `BENCH_<experiment>_metrics.json` in
+/// the working directory, so every run's telemetry travels with its
+/// results. Call once at the end of main().
 inline void WriteMetricsSnapshot(const std::string& experiment) {
   const std::string path = "BENCH_" + experiment + "_metrics.json";
   const std::string json = obs::ExportJson();

@@ -88,10 +88,9 @@ inline constexpr int kFaultRegistry = 60;
 inline constexpr int kFaultPoint = 62;
 
 // ---- Band 70-79: observability. ----
-// Metric/span registries are called from under almost every lock above
-// (gauge publishes, counter bumps), and call nothing themselves.
+// The metrics registry is called from under almost every lock above
+// (gauge publishes, counter bumps), and calls nothing itself.
 inline constexpr int kObsMetrics = 70;
-inline constexpr int kObsSpan = 72;
 
 // ---- Band 90-99: terminal leaves. ----
 // The logging sink serializes a single fwrite and may be entered from

@@ -29,8 +29,10 @@ class Timer {
 
 /// Accumulates wall time across repeated Start()/Stop() pairs (or direct
 /// Record() calls) and reports the interval count alongside the total.
-/// This is the accumulation primitive behind obs::ScopedSpan. Not
-/// thread-safe; callers that share one instance must synchronize.
+/// The Lanczos solver sums its per-step operator applications and
+/// reorthogonalizations with it (the lsi.svd.lanczos.{apply,reorth}_ms
+/// gauges). Not thread-safe; callers that share one instance must
+/// synchronize.
 class CumulativeTimer {
  public:
   /// Begins a new interval. Calling Start() while already running

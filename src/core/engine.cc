@@ -6,10 +6,8 @@
 #include <unordered_map>
 
 #include "common/fault.h"
-#include "common/timer.h"
 #include "linalg/matrix_io.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "par/parallel_for.h"
 
 namespace lsi::core {
@@ -47,21 +45,25 @@ Result<LsiEngine> LsiEngine::Build(const text::Corpus& corpus,
   if (corpus.NumDocuments() == 0 || corpus.NumTerms() == 0) {
     return Status::InvalidArgument("LsiEngine: empty corpus");
   }
-  static obs::Counter& builds =
-      obs::MetricsRegistry::Global().GetCounter("lsi.engine.builds");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& builds = registry.GetCounter("lsi.engine.builds");
+  static obs::Histogram& build_ms =
+      registry.GetHistogram("lsi.engine.build_ms");
+  static obs::Histogram& weight_ms =
+      registry.GetHistogram("lsi.engine.build.weight_ms");
   builds.Increment();
-  obs::ScopedSpan build_span("engine.build");
+  obs::ScopedTimer timed(build_ms);
 
   linalg::SparseMatrix matrix(0, 0);
   {
-    obs::ScopedSpan span("weight");
+    obs::ScopedTimer timed_weight(weight_ms);
     text::TermDocumentMatrixOptions matrix_options;
     matrix_options.scheme = options.weighting;
     LSI_ASSIGN_OR_RETURN(matrix,
                          text::BuildTermDocumentMatrix(corpus, matrix_options));
   }
 
-  // LsiIndex::Build opens the "factor" and "project" child spans.
+  // LsiIndex::Build records the factor and project stages.
   LsiOptions lsi_options;
   lsi_options.rank = std::max<std::size_t>(
       1, std::min(options.rank, std::min(matrix.rows(), matrix.cols())));
@@ -129,34 +131,32 @@ Result<std::size_t> LsiEngine::RowOf(std::size_t document) const {
 
 Result<std::vector<EngineHit>> LsiEngine::Query(std::string_view query_text,
                                                 std::size_t top_k) const {
-  Timer latency;
   // Resolved once: registry references are stable for its lifetime.
-  static obs::Counter& queries =
-      obs::MetricsRegistry::Global().GetCounter("lsi.engine.queries");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& queries = registry.GetCounter("lsi.engine.queries");
   static obs::Histogram& latency_ms =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "lsi.engine.query.latency_ms");
+      registry.GetHistogram("lsi.engine.query.latency_ms");
+  static obs::Histogram& analyze_ms =
+      registry.GetHistogram("lsi.engine.query.analyze_ms");
+  static obs::Histogram& weight_ms =
+      registry.GetHistogram("lsi.engine.query.weight_ms");
   queries.Increment();
-  obs::ScopedSpan query_span("engine.query");
+  obs::ScopedTimer timed(latency_ms);
 
   std::vector<std::pair<std::size_t, std::size_t>> counts;
   {
-    obs::ScopedSpan span("analyze");
+    obs::ScopedTimer timed_analyze(analyze_ms);
     counts = AnalyzeQueryCounts(query_text);
   }
+  if (counts.empty()) return std::vector<EngineHit>{};
 
-  Result<std::vector<EngineHit>> hits = std::vector<EngineHit>{};
-  if (!counts.empty()) {
-    TermWeights query;
-    {
-      obs::ScopedSpan span("weight");
-      query = Weigh(counts);
-    }
-    // LsiIndex::Search opens the "score" child span.
-    hits = ToHits(index_.Search(query, top_k));
+  TermWeights query;
+  {
+    obs::ScopedTimer timed_weight(weight_ms);
+    query = Weigh(counts);
   }
-  latency_ms.Observe(latency.ElapsedMillis());
-  return hits;
+  // LsiIndex::Search records the fold-in and scan as lsi.index.search_ms.
+  return ToHits(index_.Search(query, top_k));
 }
 
 TermWeights LsiEngine::Weigh(
@@ -189,9 +189,6 @@ Result<std::vector<std::vector<EngineHit>>> LsiEngine::QueryBatch(
           "lsi.engine.batch_query_items");
   batches.Increment();
   batch_items.Increment(queries.size());
-  // No enclosing span: each query records its usual "engine.query" span,
-  // and span paths thread-locally nest — a batch span would prefix only
-  // the queries that happen to run on the submitting thread.
   std::vector<Result<std::vector<EngineHit>>> per_query(
       queries.size(), std::vector<EngineHit>{});
   par::ParallelFor(0, queries.size(), 1,
@@ -211,10 +208,13 @@ Result<std::vector<std::vector<EngineHit>>> LsiEngine::QueryBatch(
 
 Result<std::vector<EngineHit>> LsiEngine::MoreLikeThis(
     std::size_t document, std::size_t top_k) const {
-  static obs::Counter& calls = obs::MetricsRegistry::Global().GetCounter(
-      "lsi.engine.more_like_this_calls");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& calls =
+      registry.GetCounter("lsi.engine.more_like_this_calls");
+  static obs::Histogram& more_like_this_ms =
+      registry.GetHistogram("lsi.engine.more_like_this_ms");
   calls.Increment();
-  obs::ScopedSpan span("engine.more_like_this");
+  obs::ScopedTimer timed(more_like_this_ms);
   LSI_ASSIGN_OR_RETURN(std::size_t row, RowOf(document));
   if (row >= NumDocuments()) {
     return Status::OutOfRange("MoreLikeThis: document index out of range");
@@ -232,10 +232,13 @@ Result<std::vector<EngineHit>> LsiEngine::MoreLikeThis(
 
 Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
     std::string_view term, std::size_t top_k) const {
-  static obs::Counter& calls = obs::MetricsRegistry::Global().GetCounter(
-      "lsi.engine.related_terms_calls");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& calls =
+      registry.GetCounter("lsi.engine.related_terms_calls");
+  static obs::Histogram& related_terms_ms =
+      registry.GetHistogram("lsi.engine.related_terms_ms");
   calls.Increment();
-  obs::ScopedSpan span("engine.related_terms");
+  obs::ScopedTimer timed(related_terms_ms);
   std::vector<std::string> analyzed = analyzer_.Analyze(term);
   if (analyzed.size() != 1) {
     return Status::InvalidArgument(

@@ -11,14 +11,22 @@
 #include "linalg/operators.h"
 #include "linalg/simd/simd.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "par/parallel_for.h"
 
 namespace lsi::core {
 namespace {
 
+/// The factor stage of a build; each solver path records its time here.
+obs::Histogram& FactorMs() {
+  static obs::Histogram& histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "lsi.engine.build.factor_ms");
+  return histogram;
+}
+
 Result<linalg::SvdResult> ComputeTruncatedSvd(const linalg::LinearOperator& a,
                                               const LsiOptions& options) {
+  obs::ScopedTimer timed(FactorMs());
   const std::size_t min_dim = std::min(a.rows(), a.cols());
   if (options.rank == 0 || options.rank > min_dim) {
     return Status::InvalidArgument(
@@ -39,6 +47,7 @@ Result<linalg::SvdResult> ComputeTruncatedSvd(const linalg::LinearOperator& a,
 
 Result<linalg::SvdResult> ComputeJacobi(const linalg::DenseMatrix& dense,
                                         std::size_t rank) {
+  obs::ScopedTimer timed(FactorMs());
   if (rank == 0 || rank > std::min(dense.rows(), dense.cols())) {
     return Status::InvalidArgument(
         "LsiIndex: rank must satisfy 1 <= rank <= min(terms, documents)");
@@ -154,7 +163,10 @@ LsiIndex::LsiIndex(linalg::SvdResult svd)
       document_vectors_(std::move(svd.v)),
       built_documents_(document_vectors_.rows()) {
   {
-    obs::ScopedSpan span("project");
+    static obs::Histogram& project_ms =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "lsi.engine.build.project_ms");
+    obs::ScopedTimer timed(project_ms);
     // Document vectors: V_k D_k (row j = sigma-weighted coordinates of
     // document j in the latent space), scaled in place.
     const std::size_t k = rank();
@@ -362,39 +374,27 @@ void LsiIndex::TermRow(std::size_t t, double* out) const {
 
 Result<LsiIndex> LsiIndex::Build(const linalg::SparseMatrix& term_document,
                                  const LsiOptions& options) {
-  if (options.solver == SvdSolver::kJacobi) {
-    linalg::SvdResult svd;
-    {
-      obs::ScopedSpan span("factor");
-      LSI_ASSIGN_OR_RETURN(
-          svd, ComputeJacobi(term_document.ToDense(), options.rank));
-    }
-    return LsiIndex(std::move(svd));
-  }
-  linalg::SparseOperator op(term_document);
   linalg::SvdResult svd;
-  {
-    obs::ScopedSpan span("factor");
-    LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(op, options));
+  if (options.solver == SvdSolver::kJacobi) {
+    LSI_ASSIGN_OR_RETURN(
+        svd, ComputeJacobi(term_document.ToDense(), options.rank));
+  } else {
+    LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(
+                                  linalg::SparseOperator(term_document),
+                                  options));
   }
   return LsiIndex(std::move(svd));
 }
 
 Result<LsiIndex> LsiIndex::Build(const linalg::DenseMatrix& term_document,
                                  const LsiOptions& options) {
-  if (options.solver == SvdSolver::kJacobi) {
-    linalg::SvdResult svd;
-    {
-      obs::ScopedSpan span("factor");
-      LSI_ASSIGN_OR_RETURN(svd, ComputeJacobi(term_document, options.rank));
-    }
-    return LsiIndex(std::move(svd));
-  }
-  linalg::DenseOperator op(term_document);
   linalg::SvdResult svd;
-  {
-    obs::ScopedSpan span("factor");
-    LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(op, options));
+  if (options.solver == SvdSolver::kJacobi) {
+    LSI_ASSIGN_OR_RETURN(svd, ComputeJacobi(term_document, options.rank));
+  } else {
+    LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(
+                                  linalg::DenseOperator(term_document),
+                                  options));
   }
   return LsiIndex(std::move(svd));
 }
@@ -543,7 +543,9 @@ Result<linalg::DenseVector> LsiIndex::FoldInQuery(
 
 Result<std::vector<SearchResult>> LsiIndex::Search(
     const TermWeights& query, std::size_t top_k) const {
-  obs::ScopedSpan span("score");
+  static obs::Histogram& search_ms =
+      obs::MetricsRegistry::Global().GetHistogram("lsi.index.search_ms");
+  obs::ScopedTimer timed(search_ms);
   LSI_ASSIGN_OR_RETURN(FoldedVector folded, Fold(query));
   return ScanTopK(Rows::kDocuments, folded.Probe(), top_k);
 }

@@ -6,7 +6,6 @@
 #include "common/fault.h"
 #include "live/compact.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace lsi::live {
 namespace {
@@ -81,7 +80,9 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Open(
     return Status::InvalidArgument("live: empty base corpus");
   }
   options.publish_every = std::max<std::size_t>(1, options.publish_every);
-  obs::ScopedSpan span("live.open");
+  static obs::Histogram& open_ms =
+      obs::MetricsRegistry::Global().GetHistogram("lsi.live.open_ms");
+  obs::ScopedTimer timed(open_ms);
 
   LSI_ASSIGN_OR_RETURN(core::LsiEngine base,
                        core::LsiEngine::Build(base_corpus, options.engine));
@@ -358,14 +359,11 @@ bool LiveEngine::ShouldRefreshLocked() const {
     const double mean = drift_sum_ / static_cast<double>(drift_count_);
     if (mean > options_.drift_threshold_radians) return true;
   }
-  if (options_.max_folded_fraction > 0.0 && folded_since_refresh_ > 0) {
-    const double total = static_cast<double>(doc_corpus_.size());
-    if (static_cast<double>(folded_since_refresh_) >
-        options_.max_folded_fraction * total) {
-      return true;
-    }
-  }
-  return false;
+  // Past this share of folded documents (folded / total) the refresher
+  // re-runs the SVD whatever the measured drift.
+  constexpr double kMaxFoldedFraction = 0.25;
+  return static_cast<double>(folded_since_refresh_) >
+         kMaxFoldedFraction * static_cast<double>(doc_corpus_.size());
 }
 
 // Lock order across the three phases follows the live band of
@@ -375,8 +373,10 @@ bool LiveEngine::ShouldRefreshLocked() const {
 // the same write -> snapshot order Open() uses. LSI_DEADLOCK_DETECT=1
 // checks this on every refresh.
 Status LiveEngine::RunRefresh() {
-  obs::ScopedSpan span("live.refresh");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Histogram& refresh_ms =
+      registry.GetHistogram("lsi.live.refresh_ms");
+  obs::ScopedTimer timed(refresh_ms);
 
   // Phase 1 (write lock): freeze the rebuild input. Everything
   // acknowledged so far is in corpus_/alive_; writes from here on are

@@ -36,11 +36,6 @@ struct LiveOptions {
   /// re-runs the SVD. <= 0 disables the drift trigger.
   double drift_threshold_radians = 0.35;
 
-  /// Folded-documents fraction (folded / total) past which the
-  /// refresher re-runs the SVD regardless of measured drift. <= 0
-  /// disables the fraction trigger.
-  double max_folded_fraction = 0.25;
-
   /// How often the background refresher wakes to check the triggers.
   std::chrono::milliseconds refresh_interval{2000};
 

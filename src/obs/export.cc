@@ -84,14 +84,12 @@ ExportFormat FormatFromEnv() {
   return ParseExportFormat(env);
 }
 
-std::string ExportJson(const MetricsRegistry& metrics,
-                       const SpanRegistry& spans) {
+std::string ExportJson(const MetricsRegistry& metrics) {
   if (&metrics == &MetricsRegistry::Global()) {
     MirrorFaultMetrics();
     MirrorLockMetrics();
   }
   MetricsSnapshot snapshot = metrics.Snapshot();
-  auto span_stats = spans.Snapshot();
 
   std::string out = "{\n  \"counters\": {";
   bool first = true;
@@ -131,30 +129,17 @@ std::string ExportJson(const MetricsRegistry& metrics,
     }
     out += "]}";
   }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"spans\": {";
-  first = true;
-  for (const auto& [path, stats] : span_stats) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(out, path);
-    out += ": {\"count\": " + std::to_string(stats.count) +
-           ", \"total_ms\": " + FormatDouble(stats.total_seconds * 1e3) + "}";
-  }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
 }
 
-std::string ExportPrometheus(const MetricsRegistry& metrics,
-                             const SpanRegistry& spans) {
+std::string ExportPrometheus(const MetricsRegistry& metrics) {
   if (&metrics == &MetricsRegistry::Global()) {
     MirrorFaultMetrics();
     MirrorLockMetrics();
   }
   MetricsSnapshot snapshot = metrics.Snapshot();
-  auto span_stats = spans.Snapshot();
 
   std::string out;
   for (const auto& [name, value] : snapshot.counters) {
@@ -181,18 +166,6 @@ std::string ExportPrometheus(const MetricsRegistry& metrics,
     }
     out += prom + "_sum " + FormatDouble(histogram.sum) + "\n";
     out += prom + "_count " + std::to_string(histogram.count) + "\n";
-  }
-  if (!span_stats.empty()) {
-    out += "# TYPE lsi_span_count counter\n";
-    for (const auto& [path, stats] : span_stats) {
-      out += "lsi_span_count_total{path=\"" + path + "\"} " +
-             std::to_string(stats.count) + "\n";
-    }
-    out += "# TYPE lsi_span_seconds counter\n";
-    for (const auto& [path, stats] : span_stats) {
-      out += "lsi_span_seconds_total{path=\"" + path + "\"} " +
-             FormatDouble(stats.total_seconds) + "\n";
-    }
   }
   return out;
 }

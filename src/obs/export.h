@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace lsi::obs {
 
@@ -24,24 +23,21 @@ ExportFormat ParseExportFormat(std::string_view value);
 /// when unset or unrecognized.
 ExportFormat FormatFromEnv();
 
-/// Renders metrics + spans as one JSON document:
+/// Renders the metrics as one JSON document:
 ///   {
 ///     "counters":   {"name": 42, ...},
 ///     "gauges":     {"name": 1.5, ...},
 ///     "histograms": {"name": {"count": n, "sum": s,
-///                             "buckets": [{"le": 1, "count": 2}, ...]}},
-///     "spans":      {"path": {"count": n, "total_ms": t}, ...}
+///                             "buckets": [{"le": 1, "count": 2}, ...]}}
 ///   }
-/// The document is stable (keys sorted) so trajectory files diff cleanly.
-std::string ExportJson(const MetricsRegistry& metrics = MetricsRegistry::Global(),
-                       const SpanRegistry& spans = SpanRegistry::Global());
+/// The document is stable (keys sorted) so dumps diff cleanly.
+std::string ExportJson(
+    const MetricsRegistry& metrics = MetricsRegistry::Global());
 
-/// Renders metrics + spans in the Prometheus text exposition format.
-/// Dotted names become underscore-separated; spans are exported as
-/// lsi_span_count_total / lsi_span_seconds_total with a `path` label.
+/// Renders the metrics in the Prometheus text exposition format. Dotted
+/// names become underscore-separated.
 std::string ExportPrometheus(
-    const MetricsRegistry& metrics = MetricsRegistry::Global(),
-    const SpanRegistry& spans = SpanRegistry::Global());
+    const MetricsRegistry& metrics = MetricsRegistry::Global());
 
 /// Renders the global registry in `format` (empty string for kNone).
 std::string Export(ExportFormat format);

@@ -47,8 +47,8 @@ void Histogram::Reset() {
 }
 
 std::vector<double> DefaultLatencyBucketsMs() {
-  return {0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
-          5000, 10000};
+  return {0.01, 0.025, 0.05, 0.1,  0.25, 0.5,  1,    2.5,  5,    10,
+          25,   50,    100,  250,  500,  1000, 2500, 5000, 10000};
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

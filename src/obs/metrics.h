@@ -11,6 +11,7 @@
 #include "common/lock_ranks.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "common/timer.h"
 
 namespace lsi::obs {
 
@@ -92,8 +93,28 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Default bucket edges for millisecond latency histograms.
+/// Bucket edges, 0.01 ms to 10 s, shared by every millisecond latency
+/// histogram: from a whole HTTP request down to one stage of a 0.1 ms
+/// query.
 std::vector<double> DefaultLatencyBucketsMs();
+
+/// Observes the wall time of its scope, in milliseconds, into
+/// `histogram` — on every exit, early returns included. Stage timings
+/// use this with a histogram looked up once into a function-local
+/// static, so recording a stage is a clock read and a few relaxed atomic
+/// adds, and the stage has one name whatever thread or caller runs it.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(Histogram& histogram) : histogram_(histogram) {}
+  ~ScopedTimer() { histogram_.Observe(timer_.ElapsedMillis()); }
+
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  Histogram& histogram_;
+  Timer timer_;
+};
 
 /// Mirrors the lsi::fault registry's per-point counters into the global
 /// MetricsRegistry as `lsi.fault.<name>.hits` / `lsi.fault.<name>.triggers`.

@@ -22,6 +22,9 @@ namespace {
 // route handler translates back to HTTP codes.
 constexpr char kDeadlineMessage[] = "serve: deadline exceeded";
 
+// Live mode: write requests in flight beyond this answer 503.
+constexpr std::size_t kMaxPendingWrites = 64;
+
 Status DeadlineStatus() {
   return Status::FailedPrecondition(kDeadlineMessage);
 }
@@ -284,7 +287,6 @@ LsiService::LsiService(const core::LsiEngine* engine, live::LiveEngine* live,
                        ServiceOptions options)
     : engine_(engine),
       live_(live),
-      options_(options),
       cache_(options.cache),
       start_time_(std::chrono::steady_clock::now()) {}
 
@@ -395,7 +397,7 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
   }
   if (faulted ||
       inflight_writes_.fetch_add(1, std::memory_order_acq_rel) >=
-          options_.max_pending_writes) {
+          kMaxPendingWrites) {
     if (!faulted) inflight_writes_.fetch_sub(1, std::memory_order_acq_rel);
     counters.rejected.Increment();
     return RetryLater("write backlog full, retry later");
@@ -420,10 +422,9 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
     if (text == nullptr || !text->is_string()) {
       return JsonError(400, "body must have a string text");
     }
-    if (text->string_value().size() > options_.max_document_bytes) {
+    if (text->string_value().size() > kMaxDocumentBytes) {
       return JsonError(400, "text exceeds max_document_bytes (" +
-                                std::to_string(options_.max_document_bytes) +
-                                ")");
+                                std::to_string(kMaxDocumentBytes) + ")");
     }
   }
 

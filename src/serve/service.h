@@ -24,11 +24,10 @@ namespace lsi::serve {
 /// ServerOptions).
 struct ServiceOptions {
   QueryCacheOptions cache;
-  /// Live mode: largest accepted /add // /update document text.
-  std::size_t max_document_bytes = 1 << 20;
-  /// Live mode: write requests in flight beyond this answer 503.
-  std::size_t max_pending_writes = 64;
 };
+
+/// Live mode: an /add or /update whose text is longer answers 400.
+inline constexpr std::size_t kMaxDocumentBytes = 1 << 20;
 
 /// The HTTP-facing application layer: routes requests to a loaded
 /// LsiEngine through the result cache. Each /query runs on the calling
@@ -106,7 +105,6 @@ class LsiService {
 
   const core::LsiEngine* engine_;  ///< Read-only mode; null in live mode.
   live::LiveEngine* live_;         ///< Live mode; null in read-only mode.
-  ServiceOptions options_;
   QueryCache cache_;
   std::atomic<bool> shut_down_{false};
   std::atomic<std::size_t> inflight_writes_{0};

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/export.h"
-#include "obs/span.h"
 
 namespace lsi::obs {
 namespace {
@@ -57,6 +56,11 @@ TEST(HistogramTest, EmptyBoundsSelectDefaultLatencyBuckets) {
   MetricsRegistry registry;
   Histogram& histogram = registry.GetHistogram("latency");
   EXPECT_EQ(histogram.bounds(), DefaultLatencyBucketsMs());
+  // The buckets resolve one stage of a 0.1 ms query: a 0.02 ms sample
+  // does not share the first bucket with a 0.005 ms one.
+  histogram.Observe(0.005);
+  histogram.Observe(0.02);
+  EXPECT_EQ(histogram.bucket_counts()[0], 1u);
 }
 
 TEST(MetricsRegistryTest, ReturnsStableReferencesAndSortedSnapshot) {
@@ -115,29 +119,22 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsObserveExactTotals) {
   EXPECT_EQ(histogram.bucket_counts()[0], kTotal);
 }
 
-TEST(SpanTest, NestedSpansComposeDottedPaths) {
-  SpanRegistry registry;
-  EXPECT_EQ(ScopedSpan::CurrentPath(), "");
-  {
-    ScopedSpan outer("engine.query", registry);
-    EXPECT_EQ(outer.path(), "engine.query");
-    EXPECT_EQ(ScopedSpan::CurrentPath(), "engine.query");
+TEST(ScopedTimerTest, ObservesEachScopeOnceOnEveryExit) {
+  Histogram outer_ms({});
+  Histogram inner_ms({});
+  const auto timed = [&](bool early) {
+    ScopedTimer outer(outer_ms);
     {
-      ScopedSpan inner("score", registry);
-      EXPECT_EQ(inner.path(), "engine.query.score");
-      EXPECT_EQ(ScopedSpan::CurrentPath(), "engine.query.score");
+      ScopedTimer inner(inner_ms);
+      if (early) return;
     }
-    EXPECT_EQ(ScopedSpan::CurrentPath(), "engine.query");
-  }
-  EXPECT_EQ(ScopedSpan::CurrentPath(), "");
-
-  auto snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "engine.query");
-  EXPECT_EQ(snapshot[1].first, "engine.query.score");
-  EXPECT_EQ(snapshot[0].second.count, 1u);
-  EXPECT_GE(snapshot[0].second.total_seconds,
-            snapshot[1].second.total_seconds);
+  };
+  timed(false);
+  timed(true);
+  EXPECT_EQ(outer_ms.count(), 2u);
+  EXPECT_EQ(inner_ms.count(), 2u);
+  // A nested stage runs inside its parent, so it cannot take longer.
+  EXPECT_GE(outer_ms.sum(), inner_ms.sum());
 }
 
 TEST(ExportTest, ParseExportFormat) {
@@ -151,28 +148,24 @@ TEST(ExportTest, ParseExportFormat) {
 
 TEST(ExportTest, JsonGoldenEmptyRegistries) {
   MetricsRegistry metrics;
-  SpanRegistry spans;
-  EXPECT_EQ(ExportJson(metrics, spans),
+  EXPECT_EQ(ExportJson(metrics),
             "{\n"
             "  \"counters\": {},\n"
             "  \"gauges\": {},\n"
-            "  \"histograms\": {},\n"
-            "  \"spans\": {}\n"
+            "  \"histograms\": {}\n"
             "}\n");
 }
 
 TEST(ExportTest, JsonGolden) {
   MetricsRegistry metrics;
-  SpanRegistry spans;
   metrics.GetCounter("a.b").Increment(3);
   metrics.GetGauge("g").Set(1.5);
   Histogram& histogram = metrics.GetHistogram("h", {1.0, 2.0});
   histogram.Observe(0.5);
   histogram.Observe(1.5);
   histogram.Observe(9.0);
-  spans.Record("x", 0.5);
 
-  EXPECT_EQ(ExportJson(metrics, spans),
+  EXPECT_EQ(ExportJson(metrics),
             "{\n"
             "  \"counters\": {\n"
             "    \"a.b\": 3\n"
@@ -184,25 +177,20 @@ TEST(ExportTest, JsonGolden) {
             "    \"h\": {\"count\": 3, \"sum\": 11, \"buckets\": "
             "[{\"le\": 1, \"count\": 1}, {\"le\": 2, \"count\": 1}, "
             "{\"le\": \"+Inf\", \"count\": 1}]}\n"
-            "  },\n"
-            "  \"spans\": {\n"
-            "    \"x\": {\"count\": 1, \"total_ms\": 500}\n"
             "  }\n"
             "}\n");
 }
 
 TEST(ExportTest, PrometheusGolden) {
   MetricsRegistry metrics;
-  SpanRegistry spans;
   metrics.GetCounter("lsi.svd.lanczos.iterations").Increment(12);
   metrics.GetGauge("lsi.svd.lanczos.residual").Set(0.25);
   Histogram& histogram = metrics.GetHistogram("lat.ms", {1.0, 2.0});
   histogram.Observe(0.5);
   histogram.Observe(1.5);
   histogram.Observe(9.0);
-  spans.Record("engine.query", 0.5);
 
-  EXPECT_EQ(ExportPrometheus(metrics, spans),
+  EXPECT_EQ(ExportPrometheus(metrics),
             "# TYPE lsi_svd_lanczos_iterations counter\n"
             "lsi_svd_lanczos_iterations_total 12\n"
             "# TYPE lsi_svd_lanczos_residual gauge\n"
@@ -212,11 +200,7 @@ TEST(ExportTest, PrometheusGolden) {
             "lat_ms_bucket{le=\"2\"} 2\n"
             "lat_ms_bucket{le=\"+Inf\"} 3\n"
             "lat_ms_sum 11\n"
-            "lat_ms_count 3\n"
-            "# TYPE lsi_span_count counter\n"
-            "lsi_span_count_total{path=\"engine.query\"} 1\n"
-            "# TYPE lsi_span_seconds counter\n"
-            "lsi_span_seconds_total{path=\"engine.query\"} 0.5\n");
+            "lat_ms_count 3\n");
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // End-to-end observability: building and querying an engine must leave
-// solver convergence telemetry and stage spans in the global registries,
-// and the logging fast path must not evaluate suppressed operands.
+// solver convergence telemetry and stage latency histograms in the global
+// registry, and the logging fast path must not evaluate suppressed
+// operands.
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,7 @@
 #include "core/engine.h"
 #include "model/separable_model.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "par/par.h"
 #include "text/analyzer.h"
 
 namespace lsi::core {
@@ -45,17 +47,19 @@ std::uint64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name).value();
 }
 
-obs::SpanStats SpanValue(const std::string& path) {
-  for (const auto& [span_path, stats] :
-       obs::SpanRegistry::Global().Snapshot()) {
-    if (span_path == path) return stats;
-  }
-  return obs::SpanStats{};
+obs::Histogram& Stage(const std::string& name) {
+  return obs::MetricsRegistry::Global().GetHistogram(name);
 }
 
-TEST(EngineStatsTest, BuildRecordsSolverTelemetryAndStageSpans) {
+constexpr const char* kBuildStages[] = {
+    "lsi.engine.build_ms", "lsi.engine.build.weight_ms",
+    "lsi.engine.build.factor_ms", "lsi.engine.build.project_ms"};
+constexpr const char* kQueryStages[] = {
+    "lsi.engine.query.latency_ms", "lsi.engine.query.analyze_ms",
+    "lsi.engine.query.weight_ms", "lsi.index.search_ms"};
+
+TEST(EngineStatsTest, BuildRecordsSolverTelemetryAndStageHistograms) {
   obs::MetricsRegistry::Global().Reset();
-  obs::SpanRegistry::Global().Reset();
 
   LsiEngineOptions options;
   options.rank = 3;
@@ -73,20 +77,17 @@ TEST(EngineStatsTest, BuildRecordsSolverTelemetryAndStageSpans) {
       obs::MetricsRegistry::Global().GetGauge("lsi.svd.lanczos.converged");
   EXPECT_DOUBLE_EQ(converged.value(), 1.0);
 
-  for (const char* path : {"engine.build", "engine.build.weight",
-                           "engine.build.factor", "engine.build.project"}) {
-    obs::SpanStats stats = SpanValue(path);
-    EXPECT_EQ(stats.count, 1u) << path;
-    EXPECT_GE(stats.total_seconds, 0.0) << path;
+  for (const char* name : kBuildStages) {
+    EXPECT_EQ(Stage(name).count(), 1u) << name;
+    EXPECT_GE(Stage(name).sum(), 0.0) << name;
   }
-  // Stage spans nest inside the build span, so they cannot exceed it.
-  EXPECT_LE(SpanValue("engine.build.factor").total_seconds,
-            SpanValue("engine.build").total_seconds);
+  // The stages run inside the build, so they cannot exceed it.
+  EXPECT_LE(Stage("lsi.engine.build.factor_ms").sum(),
+            Stage("lsi.engine.build_ms").sum());
 }
 
 TEST(EngineStatsTest, BuildRecordsLanczosStageTimes) {
   obs::MetricsRegistry::Global().Reset();
-  obs::SpanRegistry::Global().Reset();
 
   LsiEngineOptions options;
   options.rank = 3;
@@ -104,7 +105,7 @@ TEST(EngineStatsTest, BuildRecordsLanczosStageTimes) {
     EXPECT_GT(ms, 0.0) << name;
     stages_ms += ms;
   }
-  EXPECT_LE(stages_ms, SpanValue("engine.build").total_seconds * 1e3);
+  EXPECT_LE(stages_ms, Stage("lsi.engine.build_ms").sum());
 
   // A second build adds to the totals rather than replacing them.
   const double apply_before =
@@ -118,9 +119,8 @@ TEST(EngineStatsTest, BuildRecordsLanczosStageTimes) {
       apply_before);
 }
 
-TEST(EngineStatsTest, QueryRecordsSpansAndLatencyHistogram) {
+TEST(EngineStatsTest, QueryRecordsStageHistograms) {
   obs::MetricsRegistry::Global().Reset();
-  obs::SpanRegistry::Global().Reset();
 
   LsiEngineOptions options;
   options.rank = 3;
@@ -132,24 +132,43 @@ TEST(EngineStatsTest, QueryRecordsSpansAndLatencyHistogram) {
   EXPECT_FALSE(hits->empty());
 
   EXPECT_EQ(CounterValue("lsi.engine.queries"), 1u);
-  for (const char* path : {"engine.query", "engine.query.analyze",
-                           "engine.query.weight", "engine.query.score"}) {
-    EXPECT_EQ(SpanValue(path).count, 1u) << path;
+  for (const char* name : kQueryStages) {
+    EXPECT_EQ(Stage(name).count(), 1u) << name;
+    EXPECT_GE(Stage(name).sum(), 0.0) << name;
   }
-  obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
-      "lsi.engine.query.latency_ms");
-  EXPECT_EQ(latency.count(), 1u);
-  EXPECT_GE(latency.sum(), 0.0);
+  EXPECT_LE(Stage("lsi.index.search_ms").sum(),
+            Stage("lsi.engine.query.latency_ms").sum());
 
   auto similar = engine->MoreLikeThis(0, 3);
   ASSERT_TRUE(similar.ok());
   EXPECT_EQ(CounterValue("lsi.engine.more_like_this_calls"), 1u);
-  EXPECT_EQ(SpanValue("engine.more_like_this").count, 1u);
+  EXPECT_EQ(Stage("lsi.engine.more_like_this_ms").count(), 1u);
 
   auto related = engine->RelatedTerms("rocket", 3);
   ASSERT_TRUE(related.ok());
   EXPECT_EQ(CounterValue("lsi.engine.related_terms_calls"), 1u);
-  EXPECT_EQ(SpanValue("engine.related_terms").count, 1u);
+  EXPECT_EQ(Stage("lsi.engine.related_terms_ms").count(), 1u);
+}
+
+TEST(EngineStatsTest, BatchWorkersRecordEveryQueryUnderOneName) {
+  LsiEngineOptions options;
+  options.rank = 3;
+  auto engine = LsiEngine::Build(ThreeTopicCorpus(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  obs::MetricsRegistry::Global().Reset();
+
+  // Queries that run on pool workers record under the same names as
+  // ones on the calling thread: each stage gains one sample per query.
+  par::SetThreads(4);
+  const std::vector<std::string> queries = {
+      "rocket moon",   "engine car",    "garlic pasta", "orbit stars",
+      "brakes engine", "bread butter",  "astronauts",   "automobile road"};
+  auto hits = engine->QueryBatch(queries, 3);
+  par::SetThreads(0);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  for (const char* name : kQueryStages) {
+    EXPECT_EQ(Stage(name).count(), queries.size()) << name;
+  }
 }
 
 TEST(EngineStatsTest, ScansCountRowsScoredAndBuildTimesClustering) {

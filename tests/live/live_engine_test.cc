@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "model/separable_model.h"
+#include "obs/metrics.h"
 #include "text/analyzer.h"
 
 namespace lsi::live {
@@ -359,6 +360,25 @@ TEST(LiveEngineTest, ForceRefreshMatchesFreshBuildBitForBit) {
   std::fclose(a);
   std::fclose(b);
   EXPECT_EQ(bytes_a, bytes_b);
+  ASSERT_TRUE(live->Close().ok());
+}
+
+TEST(LiveEngineTest, RefreshRecordsUnderTheBuildStageNames) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  auto live = OpenFresh("live_stage_names.log");
+  ASSERT_NE(live, nullptr);
+  ASSERT_TRUE(live->ForceRefresh().ok());
+
+  // The base build and the refresh's rebuild record under one set of
+  // names, whichever thread or caller runs them.
+  for (const char* name :
+       {"lsi.engine.build_ms", "lsi.engine.build.weight_ms",
+        "lsi.engine.build.factor_ms", "lsi.engine.build.project_ms"}) {
+    EXPECT_EQ(registry.GetHistogram(name).count(), 2u) << name;
+  }
+  EXPECT_EQ(registry.GetHistogram("lsi.live.open_ms").count(), 1u);
+  EXPECT_EQ(registry.GetHistogram("lsi.live.refresh_ms").count(), 1u);
   ASSERT_TRUE(live->Close().ok());
 }
 

@@ -151,16 +151,12 @@ TEST_F(LiveRoutesTest, MalformedWriteBodiesGet400) {
 }
 
 TEST_F(LiveRoutesTest, OversizedDocumentIs400) {
-  ServiceOptions options;
-  options.max_document_bytes = 16;
-  LsiService tiny(*live_, options);
-  HttpResponse response = tiny.Handle(
-      Request("POST", "/add",
-              R"({"name": "big", "text": "this text is longer than sixteen bytes"})"),
-      Soon());
+  const std::string text(kMaxDocumentBytes + 1, 'x');
+  HttpResponse response = Handle(Request(
+      "POST", "/add", R"({"name": "big", "text": ")" + text + R"("})"));
   EXPECT_EQ(response.status, 400);
   EXPECT_NE(response.body.find("max_document_bytes"), std::string::npos);
-  tiny.Shutdown();
+  EXPECT_EQ(live_->stats().wal_records, 0u);
 }
 
 TEST_F(LiveRoutesTest, RouteFaultPointsAnswer503WithRetryAfter) {

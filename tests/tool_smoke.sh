@@ -34,21 +34,26 @@ trap 'rm -rf "$WORKDIR"' EXIT
 # Unknown-term query reports no hits instead of failing.
 "$TOOL" query "$ENGINE" zzzqqq 2>> "$ERRLOG" | grep -q "no hits"
 
-# --stats=json appends a metrics dump with solver telemetry and spans;
-# the JSON starts at the first '{' line. python3 validates it when
-# available (it is in CI).
+# --stats=json appends a metrics dump with solver telemetry and stage
+# latency histograms; the JSON starts at the first '{' line. python3
+# validates it when available (it is in CI).
 "$TOOL" index "$CORPUS" "$ENGINE" 10 tfidf --stats=json \
   > "$ENGINE.stats" 2>> "$ERRLOG"
 grep -q "indexed 45 documents" "$ENGINE.stats"
 grep -q '"lsi.svd.lanczos.iterations"' "$ENGINE.stats"
-grep -q '"engine.build.factor"' "$ENGINE.stats"
+for stage in build build.weight build.factor build.project; do
+  grep -q "\"lsi.engine.${stage}_ms\": {\"count\": 1," "$ENGINE.stats"
+done
 if command -v python3 > /dev/null 2>&1; then
   sed -n '/^{/,$p' "$ENGINE.stats" | python3 -m json.tool > /dev/null
 fi
 
 # The same counters surface in the Prometheus exposition.
 "$TOOL" stats "$ENGINE" galaxies --stats=prom > "$ENGINE.prom" 2>> "$ERRLOG"
-grep -q '^lsi_span_count_total{path="engine.query"} 1$' "$ENGINE.prom"
+for stage in engine_query_latency engine_query_analyze engine_query_weight \
+    index_search; do
+  grep -q "^lsi_${stage}_ms_count 1\$" "$ENGINE.prom"
+done
 grep -q '^# TYPE lsi_engine_queries counter$' "$ENGINE.prom"
 
 # LSI_METRICS is the env-var spelling of --stats.

@@ -74,7 +74,7 @@
 //
 // Any command additionally accepts --stats[=json|prom]: after the
 // command finishes, the metrics registry (solver convergence counters,
-// span timings, latency histograms) is dumped to stdout. The dump starts
+// per-stage latency histograms) is dumped to stdout. The dump starts
 // at the first line beginning with '{' (JSON) or '#' (Prometheus).
 // Any command also accepts --threads=N to cap the worker threads the
 // parallel kernels use (equivalent to LSI_THREADS=N; 1 = fully serial).
@@ -89,6 +89,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -139,7 +140,8 @@ int Usage() {
                "\n"
                "flags:\n"
                "  --stats[=json|prom]  dump the metrics registry (solver\n"
-               "                       convergence counters, span timings)\n"
+               "                       convergence counters, latency\n"
+               "                       histograms)\n"
                "                       to stdout after the command\n"
                "  --threads=N          cap parallel kernels at N threads\n"
                "                       (1 = serial; default: all cores)\n"
@@ -352,12 +354,77 @@ bool ParseDoubleValue(const char* text, double* out) {
   return true;
 }
 
-int CommandServe(int argc, char** argv) {
-  if (argc < 3) return Usage();
+/// The HTTP front end `serve` and `route` share: the flags below, with
+/// LSI_PORT / LSI_CACHE_MB / LSI_DEADLINE_MS defaults, and the
+/// serve-until-signal loop.
+struct FrontEnd {
   std::size_t port = SizeFromEnv("LSI_PORT", 8080);
   std::size_t cache_mb = SizeFromEnv("LSI_CACHE_MB", 64);
   std::size_t deadline_ms = SizeFromEnv("LSI_DEADLINE_MS", 2000);
   std::string host = "0.0.0.0";
+
+  /// Takes `arg` when it is --port, --host, --cache-mb or --deadline-ms,
+  /// setting `*ok` to whether its value parsed; false for any other arg.
+  bool ParseFlag(const char* arg, bool* ok) {
+    if (std::strncmp(arg, "--port=", 7) == 0) {
+      *ok = ParseSizeValue(arg + 7, &port) && port <= 65535;
+    } else if (std::strncmp(arg, "--host=", 7) == 0) {
+      host = arg + 7;
+    } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
+      *ok = ParseSizeValue(arg + 11, &cache_mb);
+    } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
+      *ok = ParseSizeValue(arg + 14, &deadline_ms) && deadline_ms > 0;
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  std::size_t cache_bytes() const { return cache_mb * 1024 * 1024; }
+
+  /// Serves `handler` until SIGINT or SIGTERM, then drains. `announce`
+  /// prints the startup line given the bound port; `stop` runs after the
+  /// server stops accepting (and after a failed start) and returns the
+  /// exit code. A failed start prints "<command>: <error>" and exits 1.
+  int Run(const char* command, lsi::serve::HttpServer::Handler handler,
+          const std::function<void(int port)>& announce,
+          const std::function<int()>& stop) const {
+    lsi::serve::ServerOptions options;
+    options.port = static_cast<int>(port);
+    options.host = host;
+    // Each connection worker runs its requests' engine calls itself, and
+    // every call fans out across the lsi::par pool, so a worker per pool
+    // thread (at least 4, for connections idling on I/O) suffices.
+    options.threads = std::max<std::size_t>(4, lsi::par::Threads());
+    options.deadline = std::chrono::milliseconds(deadline_ms);
+    lsi::serve::HttpServer server(std::move(handler), options);
+    if (auto started = server.Start(); !started.ok()) {
+      std::fprintf(stderr, "%s: %s\n", command, started.ToString().c_str());
+      stop();
+      return 1;
+    }
+
+    std::signal(SIGINT, HandleShutdownSignal);
+    std::signal(SIGTERM, HandleShutdownSignal);
+    announce(server.port());
+    std::fflush(stdout);
+
+    while (g_shutdown_signal == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+
+    std::printf("shutdown signal received, draining\n");
+    std::fflush(stdout);
+    server.Stop();
+    const int code = stop();
+    if (code == 0) std::printf("drained, exiting\n");
+    return code;
+  }
+};
+
+int CommandServe(int argc, char** argv) {
+  if (argc < 3) return Usage();
+  FrontEnd front;
   const char* engine_path = nullptr;
   std::string live_dir;
   lsi::live::LiveOptions live_options;
@@ -366,14 +433,8 @@ int CommandServe(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     bool ok = true;
-    if (std::strncmp(arg, "--port=", 7) == 0) {
-      ok = ParseSizeValue(arg + 7, &port) && port <= 65535;
-    } else if (std::strncmp(arg, "--host=", 7) == 0) {
-      host = arg + 7;
-    } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
-      ok = ParseSizeValue(arg + 11, &cache_mb);
-    } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
-      ok = ParseSizeValue(arg + 14, &deadline_ms) && deadline_ms > 0;
+    if (front.ParseFlag(arg, &ok)) {
+      // --port, --host, --cache-mb or --deadline-ms.
     } else if (std::strncmp(arg, "--live=", 7) == 0) {
       live_dir = arg + 7;
       ok = !live_dir.empty();
@@ -451,7 +512,7 @@ int CommandServe(int argc, char** argv) {
   }
 
   lsi::serve::ServiceOptions service_options;
-  service_options.cache.max_bytes = cache_mb * 1024 * 1024;
+  service_options.cache.max_bytes = front.cache_bytes();
   // Heap-allocated because LsiService is pinned (cache locks and atomics)
   // and the mode picks its constructor at run time.
   std::unique_ptr<lsi::serve::LsiService> service =
@@ -460,71 +521,46 @@ int CommandServe(int argc, char** argv) {
                       : std::make_unique<lsi::serve::LsiService>(
                             engine.value(), service_options);
 
-  lsi::serve::ServerOptions server_options;
-  server_options.port = static_cast<int>(port);
-  server_options.host = host;
-  // Each connection worker runs its requests' engine calls itself, and
-  // every call fans out across the lsi::par pool, so a worker per pool
-  // thread (at least 4, for connections idling on I/O) suffices.
-  server_options.threads = std::max<std::size_t>(4, lsi::par::Threads());
-  server_options.deadline = std::chrono::milliseconds(deadline_ms);
-  lsi::serve::HttpServer server(
+  return front.Run(
+      "serve",
       [&service](const lsi::serve::HttpRequest& request,
                  std::chrono::steady_clock::time_point deadline) {
         return service->Handle(request, deadline);
       },
-      server_options);
-
-  if (auto started = server.Start(); !started.ok()) {
-    std::fprintf(stderr, "serve: %s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  std::signal(SIGINT, HandleShutdownSignal);
-  std::signal(SIGTERM, HandleShutdownSignal);
-
-  {
-    const lsi::core::LsiEngine* shape =
-        live != nullptr ? live->Snapshot().get() : &engine.value();
-    std::printf("serving %s on %s:%d (%zu docs, %zu terms, rank %zu)\n",
-                serving_what.c_str(), host.c_str(), server.port(),
-                shape->NumDocuments(), shape->NumTerms(), shape->rank());
-    std::fflush(stdout);
-  }
-
-  while (g_shutdown_signal == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  std::printf("shutdown signal received, draining\n");
-  std::fflush(stdout);
-  // Drain order: stop accepting connections, flush queued queries and
-  // the pending live epoch, then close the WAL — every acknowledged
-  // write is durable before the process exits.
-  server.Stop();
-  service->Shutdown();
-  if (live != nullptr) {
-    if (auto closed = live->Close(); !closed.ok()) {
-      std::fprintf(stderr, "wal close: %s\n", closed.ToString().c_str());
-      return 1;
-    }
-  }
-  std::printf("drained, exiting\n");
-  return 0;
+      [&](int bound_port) {
+        const lsi::core::LsiEngine* shape =
+            live != nullptr ? live->Snapshot().get() : &engine.value();
+        std::printf("serving %s on %s:%d (%zu docs, %zu terms, rank %zu)\n",
+                    serving_what.c_str(), front.host.c_str(), bound_port,
+                    shape->NumDocuments(), shape->NumTerms(), shape->rank());
+      },
+      // Drain order: stop accepting connections (done by Run), flush
+      // queued queries and the pending live epoch, then close the WAL —
+      // every acknowledged write is durable before the process exits.
+      [&] {
+        service->Shutdown();
+        if (live != nullptr) {
+          if (auto closed = live->Close(); !closed.ok()) {
+            std::fprintf(stderr, "wal close: %s\n",
+                         closed.ToString().c_str());
+            return 1;
+          }
+        }
+        return 0;
+      });
 }
 
 /// `route` subcommand: scatter-gather router over shard backends.
 int CommandRoute(int argc, char** argv) {
-  std::size_t port = SizeFromEnv("LSI_PORT", 8080);
-  std::size_t cache_mb = SizeFromEnv("LSI_CACHE_MB", 64);
-  std::size_t deadline_ms = SizeFromEnv("LSI_DEADLINE_MS", 2000);
-  std::string host = "0.0.0.0";
+  FrontEnd front;
   lsi::shard::RouterOptions options;
 
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     bool ok = true;
-    if (std::strncmp(arg, "--shard=", 8) == 0) {
+    if (front.ParseFlag(arg, &ok)) {
+      // --port, --host, --cache-mb or --deadline-ms.
+    } else if (std::strncmp(arg, "--shard=", 8) == 0) {
       // One --shard per shard; commas separate that shard's replicas.
       std::vector<std::string> replicas;
       std::string list = arg + 8;
@@ -539,14 +575,6 @@ int CommandRoute(int argc, char** argv) {
       }
       ok = !replicas.empty();
       if (ok) options.shards.push_back(std::move(replicas));
-    } else if (std::strncmp(arg, "--port=", 7) == 0) {
-      ok = ParseSizeValue(arg + 7, &port) && port <= 65535;
-    } else if (std::strncmp(arg, "--host=", 7) == 0) {
-      host = arg + 7;
-    } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
-      ok = ParseSizeValue(arg + 11, &cache_mb);
-    } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
-      ok = ParseSizeValue(arg + 14, &deadline_ms) && deadline_ms > 0;
     } else if (std::strncmp(arg, "--partial=", 10) == 0) {
       if (std::strcmp(arg + 10, "degrade") == 0) {
         options.partial = lsi::shard::PartialPolicy::kDegrade;
@@ -572,47 +600,27 @@ int CommandRoute(int argc, char** argv) {
     std::fprintf(stderr, "route needs at least one --shard=host:port\n");
     return 2;
   }
-  options.cache.max_bytes = cache_mb * 1024 * 1024;
+  options.cache.max_bytes = front.cache_bytes();
 
   lsi::shard::Router router(std::move(options));
   if (auto started = router.Start(); !started.ok()) {
     std::fprintf(stderr, "route: %s\n", started.ToString().c_str());
     return 1;
   }
-
-  lsi::serve::ServerOptions server_options;
-  server_options.port = static_cast<int>(port);
-  server_options.host = host;
-  server_options.threads = std::max<std::size_t>(4, lsi::par::Threads());
-  server_options.deadline = std::chrono::milliseconds(deadline_ms);
-  lsi::serve::HttpServer server(
+  return front.Run(
+      "route",
       [&router](const lsi::serve::HttpRequest& request,
                 std::chrono::steady_clock::time_point deadline) {
         return router.Handle(request, deadline);
       },
-      server_options);
-  if (auto started = server.Start(); !started.ok()) {
-    std::fprintf(stderr, "route: %s\n", started.ToString().c_str());
-    router.Stop();
-    return 1;
-  }
-
-  std::signal(SIGINT, HandleShutdownSignal);
-  std::signal(SIGTERM, HandleShutdownSignal);
-  std::printf("routing %zu shards on %s:%d\n", router.num_shards(),
-              host.c_str(), server.port());
-  std::fflush(stdout);
-
-  while (g_shutdown_signal == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  std::printf("shutdown signal received, draining\n");
-  std::fflush(stdout);
-  server.Stop();
-  router.Stop();
-  std::printf("drained, exiting\n");
-  return 0;
+      [&](int bound_port) {
+        std::printf("routing %zu shards on %s:%d\n", router.num_shards(),
+                    front.host.c_str(), bound_port);
+      },
+      [&router] {
+        router.Stop();
+        return 0;
+      });
 }
 
 /// `add` subcommand: append one add record to a live directory's WAL
