@@ -1,7 +1,7 @@
 // Substrate performance: throughput of the kernels everything else sits
 // on — sparse mat-vec, dense QR, random projection application, the text
 // pipeline (tokenize + stop-words + Porter stemming), alias-method
-// sampling, the query fold-in, and one cached LsiService::Handle. Not a
+// sampling, the query fold-in, and one result-cache hit. Not a
 // paper experiment; CI's bench job runs the guarded rows of the merge
 // base and of the head side by side (ci/bench_guard.py ab).
 
@@ -25,8 +25,7 @@
 #include "model/discrete_distribution.h"
 #include "par/par.h"
 #include "par/parallel_for.h"
-#include "serve/http.h"
-#include "serve/service.h"
+#include "serve/query_cache.h"
 #include "text/analyzer.h"
 
 namespace {
@@ -295,56 +294,28 @@ void BM_FoldInQuery(benchmark::State& state) {
   }
 }
 
-// One cached /query through LsiService::Handle on a six-document engine:
-// the serve path's fixed costs (JSON parse, query analysis, cache hit,
-// JSON reply) and the Mutex operations under them. CI compares it base
-// vs head with LSI_DEADLOCK_DETECT unset, which holds the detector-off
-// cost of every Mutex on the serve path to the merge base.
-void BM_ServiceHandleCachedQuery(benchmark::State& state) {
-  lsi::text::Analyzer analyzer;
-  lsi::text::Corpus corpus;
-  const std::pair<const char*, const char*> documents[] = {
-      {"space1",
-       "the rocket launched toward the moon carrying astronauts into orbit"},
-      {"space2",
-       "astronauts aboard the orbit station watched the moon and the stars"},
-      {"cars1",
-       "the engine of the car roared as the automobile sped down the road"},
-      {"cars2",
-       "mechanics repaired the engine and the brakes of the old automobile"},
-      {"food1",
-       "simmer the garlic and tomatoes into a sauce for the fresh pasta"},
-      {"food2",
-       "bake the bread with garlic butter and serve with pasta and sauce"}};
-  for (const auto& [name, text] : documents) {
-    corpus.AddDocument(name, analyzer.Analyze(text));
+// One QueryCache::Get hit on a warmed key, shaped like the router's key
+// for a repeated query: the copy of a ten-hit answer and the one Mutex
+// the serve path still takes per repeat. CI compares it base vs head
+// with LSI_DEADLOCK_DETECT unset, which holds the detector-off cost of
+// that Mutex to the merge base.
+void BM_QueryCacheHit(benchmark::State& state) {
+  lsi::serve::QueryCache cache;
+  const std::string key = "shard|astronauts near the moon|k10|n4";
+  std::vector<lsi::core::EngineHit> hits;
+  for (std::size_t i = 0; i < 10; ++i) {
+    hits.push_back({"doc" + std::to_string(i), i, 1.0 / (1.0 + i)});
   }
-  lsi::core::LsiEngineOptions options;
-  options.rank = 3;
-  options.solver = lsi::core::SvdSolver::kJacobi;
-  const lsi::core::LsiEngine engine = lsi::bench::Unwrap(
-      lsi::core::LsiEngine::Build(corpus, options), "LsiEngine::Build");
-  lsi::serve::LsiService service(engine);
-  lsi::serve::HttpRequest request;
-  request.method = "POST";
-  request.target = "/query";
-  request.version = "HTTP/1.1";
-  request.body = R"({"query": "astronauts near the moon", "top_k": 3})";
-  request.keep_alive = true;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::hours(1);
-  // Warm the cache so the loop measures the hit path end to end.
-  benchmark::DoNotOptimize(service.Handle(request, deadline));
+  cache.Put(key, hits);
   for (auto _ : state) {
-    auto response = service.Handle(request, deadline);
-    benchmark::DoNotOptimize(response);
+    auto cached = cache.Get(key);
+    benchmark::DoNotOptimize(cached);
   }
-  service.Shutdown();
 }
 
 }  // namespace
 
-BENCHMARK(BM_ServiceHandleCachedQuery);
+BENCHMARK(BM_QueryCacheHit);
 BENCHMARK(BM_FoldInQuery)->Arg(5000)->Arg(50000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SparseMatVec)->Arg(500)->Arg(2000)

@@ -4,8 +4,8 @@
 # then calls `bench_guard.py ab` on the runs. Pair i runs base first
 # when i is odd and head first when it is even, so a host that drifts
 # during the job weighs on both sides alike. The deadlock detector is
-# off on both sides, so the cached LsiService::Handle row holds the
-# detector-off cost of the serve path's Mutex operations to the base.
+# off on both sides, so the QueryCache hit row holds the detector-off
+# cost of the Mutex a repeated query takes to the base.
 #
 # Arguments: $1 = base bench_s1_substrate_perf binary, $2 = head binary,
 # $3 = output directory (gets base/NN.json and head/NN.json). Exits
@@ -15,7 +15,7 @@ set -e
 BASE="$1"
 HEAD="$2"
 OUT="$3"
-ROWS='(BM_SparseMatVecThreads|BM_GramApplyThreads|BM_DenseGemmThreads|BM_CosineScoreThreads|BM_SimdDot|BM_SpmvPath|BM_GemmPath|BM_ServiceHandleCachedQuery)'
+ROWS='(BM_SparseMatVecThreads|BM_GramApplyThreads|BM_DenseGemmThreads|BM_CosineScoreThreads|BM_SimdDot|BM_SpmvPath|BM_GemmPath|BM_QueryCacheHit)'
 unset LSI_DEADLOCK_DETECT
 
 # Runs binary $1 into JSON file $2. Each row keeps its best of 5

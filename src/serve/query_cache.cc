@@ -16,7 +16,7 @@ struct QueryCache::Metrics {
 
   static Metrics* Instance() {
     // One set of process-wide metric handles shared by every cache (the
-    // registry aggregates anyway; a process runs one serving cache).
+    // registry aggregates anyway; a process runs one router cache).
     static Metrics instance{
         obs::MetricsRegistry::Global().GetCounter("lsi.serve.cache.hits"),
         obs::MetricsRegistry::Global().GetCounter("lsi.serve.cache.misses"),
@@ -83,15 +83,9 @@ std::optional<std::vector<core::EngineHit>> QueryCache::Get(
   return it->second->hits;
 }
 
-void QueryCache::AdvanceEpochLocked(Shard& shard, std::uint64_t epoch) {
-  if (epoch <= shard.epoch) return;
-  while (!shard.lru.empty()) EraseLocked(shard, std::prev(shard.lru.end()));
-  shard.epoch = epoch;
-}
-
 void QueryCache::Put(const std::string& key,
                      const std::vector<core::EngineHit>& hits,
-                     bool is_partial, std::uint64_t epoch) {
+                     bool is_partial) {
   // Admission check: a degraded (partial) result is an answer over a
   // subset of the shards — serving it from cache later, after the
   // missing shards heal, would silently turn a transient brownout into
@@ -103,24 +97,8 @@ void QueryCache::Put(const std::string& key,
   if (shard_budget_ == 0) return;
   const std::size_t entry_bytes = CacheEntryBytes(key, hits);
   if (entry_bytes > shard_budget_) return;  // Would evict the whole shard.
-  // The first Put of a newer epoch sweeps the superseded entries out of
-  // every shard, one shard lock at a time; a Put racing the sweep
-  // advances its own shard below.
-  std::uint64_t newest = newest_epoch_.load(std::memory_order_relaxed);
-  while (epoch > newest) {
-    if (newest_epoch_.compare_exchange_weak(newest, epoch,
-                                            std::memory_order_relaxed)) {
-      for (Shard& other : shards_) {
-        MutexLock lock(other.mutex);
-        AdvanceEpochLocked(other, epoch);
-      }
-      break;
-    }
-  }
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mutex);
-  if (epoch < shard.epoch) return;  // Superseded: could never hit.
-  AdvanceEpochLocked(shard, epoch);
   if (auto it = shard.index.find(key); it != shard.index.end()) {
     EraseLocked(shard, it->second);  // Replace: drop the stale entry.
   }
@@ -146,19 +124,6 @@ void QueryCache::Clear() {
       EraseLocked(shard, std::prev(shard.lru.end()));
     }
   }
-}
-
-QueryCache::Stats QueryCache::stats() const {
-  Stats stats;
-  stats.hits = metrics_->hits.value();
-  stats.misses = metrics_->misses.value();
-  stats.evictions = metrics_->evictions.value();
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    stats.entries += shard.lru.size();
-    stats.bytes += shard.bytes;
-  }
-  return stats;
 }
 
 std::size_t QueryCache::entries() const {

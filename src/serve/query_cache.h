@@ -1,9 +1,7 @@
 #ifndef LSI_SERVE_QUERY_CACHE_H_
 #define LSI_SERVE_QUERY_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <optional>
 #include <string>
@@ -17,7 +15,7 @@
 
 namespace lsi::serve {
 
-/// Options for the serving-layer result cache.
+/// Options for the router's result cache.
 struct QueryCacheOptions {
   /// Independent LRU shards; lookups hash the key to a shard so
   /// concurrent workers rarely contend on one mutex. Clamped to >= 1.
@@ -27,10 +25,11 @@ struct QueryCacheOptions {
   std::size_t max_bytes = 64ull * 1024 * 1024;
 };
 
-/// Sharded LRU cache for engine query results, keyed on the *analyzed*
-/// query (in-vocabulary term ids + counts) and top_k — so "Galaxy!" and
-/// "galaxy" share an entry, as do queries differing only in unknown
-/// terms. Thread-safe; every operation touches exactly one shard.
+/// Sharded LRU cache for query results, used by shard::Router for its
+/// full single-query answers. Keys are caller-defined strings; Key()
+/// builds one from an *analyzed* query (in-vocabulary term ids + counts)
+/// and top_k, so "Galaxy!" and "galaxy" would share an entry.
+/// Thread-safe; every operation touches exactly one shard.
 ///
 /// Emits lsi.serve.cache.{hits,misses,evictions} counters and
 /// lsi.serve.cache.{entries,bytes} gauges.
@@ -55,24 +54,12 @@ class QueryCache {
   /// (subset-of-shards) result: those are refused admission outright —
   /// counted as lsi.serve.cache.partial_rejected — so a brownout never
   /// poisons the cache with partial answers that would outlive the
-  /// outage. `epoch` is the live snapshot the answer came from (0 for a
-  /// fixed engine): the first Put under a newer epoch drops every entry
-  /// of older epochs, and a Put under an epoch older than the newest
-  /// one stored is refused — keys of superseded epochs can never hit.
+  /// outage.
   void Put(const std::string& key, const std::vector<core::EngineHit>& hits,
-           bool is_partial = false, std::uint64_t epoch = 0);
+           bool is_partial = false);
 
   /// Drops every entry (budget accounting resets too).
   void Clear();
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t bytes = 0;
-  };
-  Stats stats() const;
 
   std::size_t entries() const;
   std::size_t bytes() const;
@@ -92,22 +79,15 @@ class QueryCache {
     std::unordered_map<std::string, std::list<Entry>::iterator> index
         LSI_GUARDED_BY(mutex);
     std::size_t bytes LSI_GUARDED_BY(mutex) = 0;
-    /// Epoch of every entry in this shard.
-    std::uint64_t epoch LSI_GUARDED_BY(mutex) = 0;
   };
 
   Shard& ShardFor(const std::string& key);
   void EraseLocked(Shard& shard, std::list<Entry>::iterator it)
       LSI_REQUIRES(shard.mutex);
-  /// Empties `shard` if its entries predate `epoch`, and moves it there.
-  void AdvanceEpochLocked(Shard& shard, std::uint64_t epoch)
-      LSI_REQUIRES(shard.mutex);
 
   QueryCacheOptions options_;
   std::size_t shard_budget_ = 0;
   std::vector<Shard> shards_;
-  /// Newest epoch any Put named; shards catch up under their own locks.
-  std::atomic<std::uint64_t> newest_epoch_{0};
 
   // Registry handles resolved once in the constructor; increments are
   // lock-free afterwards.

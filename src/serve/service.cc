@@ -1,8 +1,8 @@
 #include "serve/service.h"
 
 #include <array>
-#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -18,22 +18,11 @@
 namespace lsi::serve {
 namespace {
 
-// RunQuery reports transport-level outcomes through Status messages the
-// route handler translates back to HTTP codes.
-constexpr char kDeadlineMessage[] = "serve: deadline exceeded";
-
 // Live mode: write requests in flight beyond this answer 503.
 constexpr std::size_t kMaxPendingWrites = 64;
 
-Status DeadlineStatus() {
-  return Status::FailedPrecondition(kDeadlineMessage);
-}
-
-/// Maps an engine/service Status to the HTTP response for it.
+/// Maps an engine Status to the HTTP response for it.
 HttpResponse StatusToResponse(const Status& status) {
-  if (status.message() == kDeadlineMessage) {
-    return JsonError(504, "deadline exceeded");
-  }
   switch (status.code()) {
     case StatusCode::kInvalidArgument:
       return JsonError(400, status.message());
@@ -145,18 +134,6 @@ class ScopedInflight {
  private:
   std::atomic<std::size_t>& count_;
 };
-
-/// True when the request asks that its reply not be stored
-/// ("Cache-Control: no-store", as a caching router sends it).
-bool NoStore(const HttpRequest& request) {
-  const std::string* value = request.FindHeader("cache-control");
-  if (value == nullptr) return false;
-  std::string lower = *value;
-  for (char& c : lower) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return lower.find("no-store") != std::string::npos;
-}
 
 }  // namespace
 
@@ -283,18 +260,15 @@ HttpResponse MethodNotAllowed(const char* allow) {
   return response;
 }
 
-LsiService::LsiService(const core::LsiEngine* engine, live::LiveEngine* live,
-                       ServiceOptions options)
+LsiService::LsiService(const core::LsiEngine* engine, live::LiveEngine* live)
     : engine_(engine),
       live_(live),
-      cache_(options.cache),
       start_time_(std::chrono::steady_clock::now()) {}
 
-LsiService::LsiService(const core::LsiEngine& engine, ServiceOptions options)
-    : LsiService(&engine, nullptr, options) {}
+LsiService::LsiService(const core::LsiEngine& engine)
+    : LsiService(&engine, nullptr) {}
 
-LsiService::LsiService(live::LiveEngine& live, ServiceOptions options)
-    : LsiService(nullptr, &live, options) {}
+LsiService::LsiService(live::LiveEngine& live) : LsiService(nullptr, &live) {}
 
 void LsiService::Shutdown() {
   shut_down_.store(true, std::memory_order_release);
@@ -459,60 +433,6 @@ HttpResponse LsiService::HandleWrite(live::WalOp op,
   return JsonOk(JsonValue(std::move(reply)).Serialize());
 }
 
-Result<std::vector<std::vector<core::EngineHit>>> LsiService::RunQuery(
-    const std::vector<std::string>& queries, std::size_t top_k, bool store,
-    std::chrono::steady_clock::time_point deadline, std::uint64_t* epoch) {
-  // One snapshot answers the whole request and keys its cache entries.
-  // Live mode reads the epoch *before* pinning: LiveEngine swaps in a new
-  // snapshot before it bumps the epoch, so the pinned engine is at least
-  // as new as the epoch the keys name, and a key never names an epoch
-  // newer than the engine that answered it. Storing under a newer epoch
-  // drops the superseded epochs' entries (QueryCache::Put).
-  *epoch = live_ != nullptr ? live_->epoch() : 0;
-  const std::string epoch_tag =
-      live_ != nullptr ? "|e" + std::to_string(*epoch) : "";
-  const EngineSnapshot engine = CurrentEngine();
-
-  std::vector<std::vector<core::EngineHit>> results(queries.size());
-  std::vector<std::string> keys(queries.size());
-  std::vector<std::size_t> missed;
-  std::vector<std::string> missed_queries;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    keys[i] = QueryCache::Key(engine->AnalyzeQueryCounts(queries[i]), top_k) +
-              epoch_tag;
-    if (auto cached = cache_.Get(keys[i])) {
-      results[i] = std::move(*cached);
-    } else {
-      missed.push_back(i);
-      missed_queries.push_back(queries[i]);
-    }
-  }
-  if (missed.empty()) return results;
-
-  if (std::chrono::steady_clock::now() >= deadline) return DeadlineStatus();
-  // A lone miss calls Query; QueryBatch equals it element-wise, and its
-  // first failing query decides the status.
-  std::vector<std::vector<core::EngineHit>> answered;
-  if (missed_queries.size() == 1) {
-    auto hits = engine->Query(missed_queries.front(), top_k);
-    if (!hits.ok()) return hits.status();
-    answered.push_back(std::move(hits).value());
-  } else {
-    auto batch = engine->QueryBatch(missed_queries, top_k);
-    if (!batch.ok()) return batch.status();
-    answered = std::move(batch).value();
-  }
-  // Nobody waits for a late answer, so it is not cached either.
-  if (std::chrono::steady_clock::now() >= deadline) return DeadlineStatus();
-  for (std::size_t j = 0; j < missed.size(); ++j) {
-    if (store) {
-      cache_.Put(keys[missed[j]], answered[j], /*is_partial=*/false, *epoch);
-    }
-    results[missed[j]] = std::move(answered[j]);
-  }
-  return results;
-}
-
 HttpResponse LsiService::HandleQuery(
     const HttpRequest& request,
     std::chrono::steady_clock::time_point deadline) {
@@ -521,12 +441,34 @@ HttpResponse LsiService::HandleQuery(
   }
   auto body = ParseQueryBody(request.body);
   if (!body.ok()) return JsonError(400, body.status().message());
-  std::uint64_t epoch = 0;
-  auto results =
-      RunQuery(body->queries, body->top_k, !NoStore(request), deadline, &epoch);
-  if (!results.ok()) return StatusToResponse(results.status());
+
+  // One snapshot answers the whole request. Live mode reads the epoch
+  // *before* pinning: LiveEngine swaps in a new snapshot before it bumps
+  // the epoch, so a reply never names an epoch newer than the engine
+  // that answered it.
+  const std::uint64_t epoch = live_ != nullptr ? live_->epoch() : 0;
+  const EngineSnapshot engine = CurrentEngine();
+  if (std::chrono::steady_clock::now() >= deadline) {
+    return JsonError(504, "deadline exceeded");
+  }
+  // A lone query calls Query; QueryBatch equals it element-wise, and its
+  // first failing query decides the status.
+  std::vector<std::vector<core::EngineHit>> results;
+  if (body->queries.size() == 1) {
+    auto hits = engine->Query(body->queries.front(), body->top_k);
+    if (!hits.ok()) return StatusToResponse(hits.status());
+    results.push_back(std::move(hits).value());
+  } else {
+    auto batch = engine->QueryBatch(body->queries, body->top_k);
+    if (!batch.ok()) return StatusToResponse(batch.status());
+    results = std::move(batch).value();
+  }
+  // Nobody waits for a late answer.
+  if (std::chrono::steady_clock::now() >= deadline) {
+    return JsonError(504, "deadline exceeded");
+  }
   HttpResponse response =
-      JsonOk(JsonValue(QueryReply(*results, body->batch)).Serialize());
+      JsonOk(JsonValue(QueryReply(results, body->batch)).Serialize());
   // Live replies name their epoch, so a caching router can tell that
   // they will change with the next write.
   if (live_ != nullptr) {
@@ -564,7 +506,6 @@ HttpResponse LsiService::HandleRelated(const HttpRequest& request) {
 
 HttpResponse LsiService::HandleStatusz() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const QueryCache::Stats cache_stats = cache_.stats();
   const double uptime_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)
@@ -578,16 +519,6 @@ HttpResponse LsiService::HandleStatusz() {
                       JsonValue(static_cast<double>(snapshot->NumTerms())));
   engine.emplace_back("rank",
                       JsonValue(static_cast<double>(snapshot->rank())));
-
-  JsonValue::Object cache;
-  cache.emplace_back("entries",
-                     JsonValue(static_cast<double>(cache_stats.entries)));
-  cache.emplace_back("bytes", JsonValue(static_cast<double>(cache_stats.bytes)));
-  cache.emplace_back("hits", JsonValue(static_cast<double>(cache_stats.hits)));
-  cache.emplace_back("misses",
-                     JsonValue(static_cast<double>(cache_stats.misses)));
-  cache.emplace_back("evictions",
-                     JsonValue(static_cast<double>(cache_stats.evictions)));
 
   JsonValue::Object requests;
   for (const char* klass : {"2xx", "4xx", "5xx"}) {
@@ -615,7 +546,6 @@ HttpResponse LsiService::HandleStatusz() {
     status.emplace_back("dbg", JsonValue(std::move(dbg_block)));
   }
   status.emplace_back("engine", JsonValue(std::move(engine)));
-  status.emplace_back("cache", JsonValue(std::move(cache)));
   status.emplace_back("requests", JsonValue(std::move(requests)));
   if (live_ != nullptr) {
     const live::LiveStats live_stats = live_->stats();

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -16,22 +15,16 @@
 #include "live/wal.h"
 #include "serve/http.h"
 #include "serve/json.h"
-#include "serve/query_cache.h"
 
 namespace lsi::serve {
-
-/// Options for the request-handling layer (transport options live in
-/// ServerOptions).
-struct ServiceOptions {
-  QueryCacheOptions cache;
-};
 
 /// Live mode: an /add or /update whose text is longer answers 400.
 inline constexpr std::size_t kMaxDocumentBytes = 1 << 20;
 
 /// The HTTP-facing application layer: routes requests to a loaded
-/// LsiEngine through the result cache. Each /query runs on the calling
-/// thread against one pinned engine snapshot. Transport-free and
+/// LsiEngine. Each /query runs on the calling thread against one pinned
+/// engine snapshot; results are not cached here (a caching
+/// shard::Router in front keeps the one result cache). Transport-free and
 /// deterministic, so tests can drive it with plain HttpRequest values;
 /// HttpServer plugs Handle() in as its handler.
 ///
@@ -40,7 +33,7 @@ inline constexpr std::size_t kMaxDocumentBytes = 1 << 20;
 ///                  {"queries": ["...", ...], "top_k": 10}   -> {"results": [[...], ...]}
 ///   POST /related  {"term": "...", "top_k": 10}             -> {"related": [...]}
 ///   GET  /healthz  liveness probe, "ok"
-///   GET  /statusz  JSON snapshot: engine shape, cache, totals
+///   GET  /statusz  JSON snapshot: engine shape, totals
 ///   GET  /metrics  Prometheus exposition of the global registry
 ///
 /// Live mode (constructed over a live::LiveEngine) adds write routes;
@@ -49,24 +42,21 @@ inline constexpr std::size_t kMaxDocumentBytes = 1 << 20;
 ///   POST /delete   {"name": "..."}                 -> {"seq", "removed", "epoch"}
 ///   POST /update   {"name": "...", "text": "..."}  -> {"seq", "document", "removed", "epoch"}
 /// Queries in live mode run against epoch snapshots (never blocking on
-/// writers), and cache keys embed the epoch so a publish invalidates
-/// naturally; the first entry stored under a newer epoch drops the
-/// older epochs' entries. Live /query replies carry "X-Lsi-Epoch: <n>",
-/// which tells a caching router not to keep them.
+/// writers). Live /query replies carry "X-Lsi-Epoch: <n>", which tells
+/// a caching router not to keep them.
 class LsiService {
  public:
-  LsiService(const core::LsiEngine& engine, ServiceOptions options = {});
+  explicit LsiService(const core::LsiEngine& engine);
 
   /// Live mode: queries hit live.Snapshot(), writes reach the WAL. The
   /// caller keeps `live` alive for the service's lifetime and remains
   /// responsible for live.Close() at shutdown (Shutdown() flushes but
   /// does not close, so a drained service can still be queried).
-  LsiService(live::LiveEngine& live, ServiceOptions options = {});
+  explicit LsiService(live::LiveEngine& live);
 
   /// Handles one parsed request. A /query whose `deadline` has passed
-  /// before or after its engine call answers 504 and caches nothing. A
-  /// /query sent with "Cache-Control: no-store" reads the cache but adds
-  /// nothing to it. Safe to call from many threads at once.
+  /// before or after its engine call answers 504. Safe to call from many
+  /// threads at once.
   HttpResponse Handle(const HttpRequest& request,
                       std::chrono::steady_clock::time_point deadline);
 
@@ -75,11 +65,8 @@ class LsiService {
   /// and durable before the process exits.
   void Shutdown();
 
-  QueryCache& cache() { return cache_; }
-
  private:
-  LsiService(const core::LsiEngine* engine, live::LiveEngine* live,
-             ServiceOptions options);
+  LsiService(const core::LsiEngine* engine, live::LiveEngine* live);
 
   HttpResponse HandleQuery(const HttpRequest& request,
                            std::chrono::steady_clock::time_point deadline);
@@ -93,19 +80,8 @@ class LsiService {
   /// non-owning alias of the fixed engine.
   EngineSnapshot CurrentEngine() const;
 
-  /// Answers the queries of one /query body on one pinned snapshot:
-  /// cache hits come from the cache, and the misses go to the engine in
-  /// one call, whose answers are cached when `store` is set. Live mode
-  /// sets `*epoch` to the epoch the answers' cache keys name. Deadline
-  /// overruns surface as a synthetic status with code
-  /// kFailedPrecondition tagged by message.
-  Result<std::vector<std::vector<core::EngineHit>>> RunQuery(
-      const std::vector<std::string>& queries, std::size_t top_k, bool store,
-      std::chrono::steady_clock::time_point deadline, std::uint64_t* epoch);
-
   const core::LsiEngine* engine_;  ///< Read-only mode; null in live mode.
   live::LiveEngine* live_;         ///< Live mode; null in read-only mode.
-  QueryCache cache_;
   std::atomic<bool> shut_down_{false};
   std::atomic<std::size_t> inflight_writes_{0};
   std::chrono::steady_clock::time_point start_time_;

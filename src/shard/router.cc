@@ -31,13 +31,11 @@ using serve::RetryLater;
 
 /// A keep-alive (HTTP/1.1 default) /query forward.
 std::string SerializeForward(const std::string& host_header,
-                             const std::string& body, long budget_ms,
-                             bool no_store) {
+                             const std::string& body, long budget_ms) {
   std::string out = "POST /query HTTP/1.1\r\nHost: " + host_header +
                     "\r\nContent-Type: application/json\r\nContent-Length: " +
                     std::to_string(body.size()) +
                     "\r\nX-Lsi-Deadline-Ms: " + std::to_string(budget_ms) +
-                    (no_store ? "\r\nCache-Control: no-store" : "") +
                     "\r\n\r\n" + body;
   return out;
 }
@@ -217,9 +215,8 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   if (!body.ok()) return serve::JsonError(400, body.status().message());
   const std::size_t num_queries = body->queries.size();
 
-  // Full single-query results are cacheable; the key needs no engine
-  // canonicalization (the backends canonicalize for their own caches),
-  // just the shard topology so a resharded router never aliases.
+  // Full single-query results are cacheable. The key is the raw query
+  // text plus the shard topology, so a resharded router never aliases.
   std::string cache_key;
   if (!body->batch) {
     cache_key = "shard|" + body->queries.front() + "|k" +
@@ -233,17 +230,10 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
     }
   }
 
-  // A query this router caches is answered from here when it repeats,
-  // so the backends need not keep their own copy of each shard's list.
-  // Live backends' lists are never cached here (see below), so they
-  // keep their own.
-  const bool no_store = !cache_key.empty() && options_.cache.max_bytes > 0 &&
-                        !live_backends_.load(std::memory_order_relaxed);
   const std::vector<ShardOutcome> outcomes =
-      Scatter(serve::SerializeQueryBody(*body), no_store, deadline);
+      Scatter(serve::SerializeQueryBody(*body), deadline);
   bool live = false;
   for (const ShardOutcome& outcome : outcomes) live |= outcome.live;
-  if (live) live_backends_.store(true, std::memory_order_relaxed);
 
   // Gather: parse each surviving shard's lists, then merge per query.
   // per_query[q][shard] is shard's ranked list for query q.
@@ -375,8 +365,7 @@ void Router::CloseIdleLocked(Replica& replica) {
 }
 
 std::vector<Router::ShardOutcome> Router::Scatter(
-    const std::string& forward_body, bool no_store,
-    steady_clock::time_point deadline) {
+    const std::string& forward_body, steady_clock::time_point deadline) {
   const std::size_t n = num_shards_;
   std::vector<ShardTask> tasks(n);
   std::vector<std::string> host_headers(n);
@@ -406,7 +395,7 @@ std::vector<Router::ShardOutcome> Router::Scatter(
     }
     std::string request =
         SerializeForward(host + ":" + std::to_string(port), forward_body,
-                         remaining_ms(steady_clock::now()), no_store);
+                         remaining_ms(steady_clock::now()));
     if (pooled >= 0) {
       pool_reuses_->Increment();
       attempt.fetch.StartOn(pooled, std::move(request));

@@ -1,7 +1,6 @@
 #ifndef LSI_SHARD_ROUTER_H_
 #define LSI_SHARD_ROUTER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -45,10 +44,8 @@ struct RouterOptions {
   /// hedge_initial is used until enough samples exist.
   std::chrono::milliseconds hedge_initial{100};
   BreakerOptions breaker;
-  /// Full-result cache (partials are refused by QueryCache itself).
-  /// While it is on, single-query forwards carry "Cache-Control:
-  /// no-store": a repeat is answered here, so a backend copy would
-  /// only take memory.
+  /// Full-result cache of single-query answers, the serving stack's one
+  /// result cache (partials are refused by QueryCache itself).
   serve::QueryCacheOptions cache;
   /// Seeds backoff/hedge jitter deterministically.
   std::uint64_t seed = 0x51a24d;
@@ -145,11 +142,10 @@ class Router {
   serve::HttpResponse HandleStatusz();
 
   /// Scatter-gathers `forward_body` (a /query JSON body) to every
-  /// shard; outcomes[s] reports shard s. With `no_store` the requests
-  /// carry "Cache-Control: no-store", so backends do not cache the
-  /// replies. Runs entirely on the calling thread.
+  /// shard; outcomes[s] reports shard s. Runs entirely on the calling
+  /// thread.
   std::vector<ShardOutcome> Scatter(
-      const std::string& forward_body, bool no_store,
+      const std::string& forward_body,
       std::chrono::steady_clock::time_point deadline);
 
   /// Dispatch order for a shard's replicas (healthy, then degraded;
@@ -177,9 +173,6 @@ class Router {
   std::size_t num_shards_ = 0;  // == shards_.size(), immutable after ctor.
   bool started_ = false;
   std::thread prober_;
-  /// Set once any backend reply carries X-Lsi-Epoch. Live backends key
-  /// their caches by epoch, so forwards stop asking them not to store.
-  std::atomic<bool> live_backends_{false};
 
   obs::Counter* requests_ = nullptr;
   obs::Counter* hedges_ = nullptr;

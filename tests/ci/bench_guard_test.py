@@ -122,7 +122,7 @@ ROWS = {
     "BM_CosineScoreThreads/scalar/2000/4": 60e3,
     "BM_CosineScoreThreads/avx2/2000/1": 62e3,
     "BM_SimdDot/avx2/128": 17.0,
-    "BM_ServiceHandleCachedQuery": 3e3,
+    "BM_QueryCacheHit": 3e3,
 }
 
 
@@ -192,13 +192,13 @@ class AbModeTest(BenchGuardTestBase):
     def test_row_vanishing_from_head_fails_with_diff(self):
         head = self.noisy()
         for rows in head:
-            del rows["BM_ServiceHandleCachedQuery"]
-            rows["BM_ServiceHandleCachedQueryRenamed"] = 3e3
+            del rows["BM_QueryCacheHit"]
+            rows["BM_QueryCacheHitRenamed"] = 3e3
         rc, _, err = self.ab(self.noisy(), head)
         self.assertEqual(rc, 1)
-        self.assertIn("- BM_ServiceHandleCachedQuery  (expected but missing)",
+        self.assertIn("- BM_QueryCacheHit  (expected but missing)",
                       err)
-        self.assertIn("+ BM_ServiceHandleCachedQueryRenamed  (new", err)
+        self.assertIn("+ BM_QueryCacheHitRenamed  (new", err)
 
     def test_row_missing_from_one_base_run_fails(self):
         base = self.noisy()
@@ -218,12 +218,12 @@ class AbModeTest(BenchGuardTestBase):
 
     def test_row_only_head_reports_is_new_and_passes(self):
         base_rows = dict(ROWS)
-        del base_rows["BM_ServiceHandleCachedQuery"]
+        del base_rows["BM_QueryCacheHit"]
         rc, out, err = self.ab(self.noisy(base_rows), self.noisy())
         self.assertEqual(rc, 0, err)
         new = [line for line in out.splitlines() if "(new" in line]
         self.assertEqual(len(new), 1, out)
-        self.assertIn("BM_ServiceHandleCachedQuery", new[0])
+        self.assertIn("BM_QueryCacheHit", new[0])
         self.assertIn("1 new", out)
 
     def test_too_few_pairs_fails(self):

@@ -22,6 +22,13 @@ using linalg::DenseMatrix;
 using linalg::DenseVector;
 using linalg::SparseMatrix;
 
+/// Default options at rank `rank`.
+LsiOptions RankOptions(std::size_t rank) {
+  LsiOptions options;
+  options.rank = rank;
+  return options;
+}
+
 /// A tiny corpus with two obvious topics: {0,1} use terms {0,1,2},
 /// {2,3} use terms {3,4,5}.
 SparseMatrix TwoTopicMatrix() {
@@ -119,7 +126,7 @@ TEST(LsiIndexTest, DocumentVectorEqualsFoldedInColumn) {
 
 TEST(LsiIndexTest, FoldInQueryRejectsWrongDimension) {
   SparseMatrix a = TwoTopicMatrix();
-  auto index = LsiIndex::Build(a, LsiOptions{.rank = 2});
+  auto index = LsiIndex::Build(a, RankOptions(2));
   ASSERT_TRUE(index.ok());
   EXPECT_FALSE(index->FoldInQuery(DenseVector(5, 0.0)).ok());
 }
@@ -147,7 +154,7 @@ TEST(LsiIndexTest, SearchRanksTopicMatesFirst) {
 
 TEST(LsiIndexTest, SearchTopKLimits) {
   SparseMatrix a = TwoTopicMatrix();
-  auto index = LsiIndex::Build(a, LsiOptions{.rank = 2});
+  auto index = LsiIndex::Build(a, RankOptions(2));
   ASSERT_TRUE(index.ok());
   DenseVector query(6, 1.0);
   auto results = index->Search(query, 2);
@@ -157,7 +164,7 @@ TEST(LsiIndexTest, SearchTopKLimits) {
 
 TEST(LsiIndexTest, TermVectorsShape) {
   SparseMatrix a = TwoTopicMatrix();
-  auto index = LsiIndex::Build(a, LsiOptions{.rank = 2});
+  auto index = LsiIndex::Build(a, RankOptions(2));
   ASSERT_TRUE(index.ok());
   DenseMatrix tv = index->TermVectors();
   EXPECT_EQ(tv.rows(), 6u);

@@ -16,6 +16,13 @@ namespace {
 using linalg::DenseMatrix;
 using linalg::DenseVector;
 
+/// Default options at rank `rank`.
+LsiOptions RankOptions(std::size_t rank) {
+  LsiOptions options;
+  options.rank = rank;
+  return options;
+}
+
 /// Term-space prototype of a topic: its probability vector.
 std::vector<DenseVector> Prototypes(const model::CorpusModel& model) {
   std::vector<DenseVector> out;
@@ -36,7 +43,7 @@ TEST(MixtureAnalysisTest, Validation) {
   builder.Add(1, 1, 1.0);
   builder.Add(2, 2, 1.0);
   builder.Add(3, 3, 1.0);
-  auto index = LsiIndex::Build(builder.Build(), LsiOptions{.rank = 2});
+  auto index = LsiIndex::Build(builder.Build(), RankOptions(2));
   ASSERT_TRUE(index.ok());
   EXPECT_FALSE(EstimateMixtureWeights(index.value(), {}).ok());
   // More prototypes than latent dims.
@@ -58,7 +65,7 @@ TEST(MixtureAnalysisTest, PureDocumentsGetPureWeights) {
   ASSERT_TRUE(corpus.ok());
   auto matrix = text::BuildTermDocumentMatrix(corpus->corpus);
   ASSERT_TRUE(matrix.ok());
-  auto index = LsiIndex::Build(matrix.value(), LsiOptions{.rank = 3});
+  auto index = LsiIndex::Build(matrix.value(), RankOptions(3));
   ASSERT_TRUE(index.ok());
 
   auto weights =
@@ -94,7 +101,7 @@ TEST(MixtureAnalysisTest, MixedDocumentsGetMixedWeights) {
   ASSERT_TRUE(corpus.ok());
   auto matrix = text::BuildTermDocumentMatrix(corpus->corpus);
   ASSERT_TRUE(matrix.ok());
-  auto index = LsiIndex::Build(matrix.value(), LsiOptions{.rank = 4});
+  auto index = LsiIndex::Build(matrix.value(), RankOptions(4));
   ASSERT_TRUE(index.ok());
 
   auto weights =

@@ -9,8 +9,8 @@
   http_probe.py PORT load CLIENTS SECONDS
       Runs CLIENTS threads for SECONDS, each a closed loop over one
       keep-alive connection: send a POST /query, read the whole
-      response, repeat. Queries rotate through a small mix, so the
-      server's cache both hits and misses. Every request ends as exactly
+      response, repeat. Queries rotate through a small mix, so behind a
+      router the cache both hits and misses. Every request ends as exactly
       one of a 2xx, a 503 (the client waits out its Retry-After, at most
       1 s, before the next request), another status, or an error (no
       complete response: refused, reset, or closed mid-reply; the client

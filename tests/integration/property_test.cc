@@ -205,7 +205,9 @@ TEST(RetrievalPropertyTest, EmptyDocumentNeverRetrievedAboveMatches) {
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ((*hits)[0].document, 0u);
   for (const core::SearchResult& hit : hits.value()) {
-    if (hit.document == 1) EXPECT_DOUBLE_EQ(hit.score, 0.0);
+    if (hit.document == 1) {
+      EXPECT_DOUBLE_EQ(hit.score, 0.0);
+    }
   }
 }
 

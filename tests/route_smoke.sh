@@ -2,9 +2,11 @@
 # Smoke test for the routed path: index a corpus, boot two `lsi_tool
 # serve` backends and one `lsi_tool route` in front of them on ephemeral
 # ports, send 20 queries through the router over one client connection,
-# then a 65-query batch (400) and one more query (200), and assert from
-# the router's /metrics that its forwards reused pooled keep-alive
-# sockets (lsi.shard.connects <= 2, one per backend).
+# repeat the first (answered from the router's result cache, the same
+# bytes), then a 65-query batch (400) and one more query (200), and
+# assert from the router's /metrics one cache hit and that its forwards
+# reused pooled keep-alive sockets (lsi.shard.connects <= 2, one per
+# backend).
 # Arguments: $1 = lsi_tool binary, $2 = corpus TSV. Needs python3
 # (http_probe.py drives the requests). Exits nonzero on any failure.
 set -e
@@ -76,6 +78,7 @@ from http_probe import metric, request
 port = int(sys.argv[1])
 conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
 words = ["galaxies", "planets", "stars", "orbit", "telescope"]
+replies = []
 for i in range(20):
     # Distinct queries: each one misses the router cache and scatters.
     query = "%s %s %d" % (words[i % 5], words[(i + 2) % 5], i)
@@ -84,6 +87,13 @@ for i in range(20):
     assert response.status == 200, (response.status, payload)
     assert response.getheader("X-Lsi-Partial") is None, payload
     assert len(json.loads(payload)["hits"]) == 3, payload
+    replies.append((body, payload))
+
+# A repeat is answered from the router's cache, byte for byte.
+body, first = replies[0]
+response, payload = request(conn, "POST", "/query", body)
+assert response.status == 200, (response.status, payload)
+assert payload == first, (payload, first)
 
 # A batch over the 64-query cap is refused by the router itself, and
 # the backends stay in service for the next query.
@@ -98,9 +108,12 @@ response, metrics = request(conn, "GET", "/metrics")
 assert response.status == 200, response.status
 connects = metric(metrics, "lsi_shard_connects_total")
 reuses = metric(metrics, "lsi_shard_pool_reuses_total")
+hits = metric(metrics, "lsi_serve_cache_hits_total")
+assert hits == 1, "router cache hits: %d" % hits
 assert connects <= 2, "router opened %d connections" % connects
 assert reuses >= 38, "router reused pooled sockets %d times" % reuses
-print("route smoke: %d connects, %d reuses" % (connects, reuses))
+print("route smoke: %d connects, %d reuses, %d cache hit" %
+      (connects, reuses, hits))
 EOF
 
 echo "route smoke: OK"

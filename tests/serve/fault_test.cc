@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "common/fault.h"
 #include "core/engine.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "text/analyzer.h"
@@ -137,6 +139,10 @@ TEST(ServeFaultTest, AdmissionFaultYields503ThenRecovers) {
       },
       options);
   ASSERT_TRUE(server.Start().ok());
+  const obs::Histogram& engine_queries =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "lsi.engine.query.latency_ms");
+  const std::uint64_t before = engine_queries.count();
 
   ASSERT_TRUE(faults.ArmFromString("serve.server.admit=once@1").ok());
   {
@@ -149,9 +155,8 @@ TEST(ServeFaultTest, AdmissionFaultYields503ThenRecovers) {
     EXPECT_NE(response.find("\"error\""), std::string::npos) << response;
   }
   faults.DisarmAll();
-  // The refused request never reached the service, so nothing is cached.
-  EXPECT_EQ(service.cache().stats().entries, 0u);
-  EXPECT_EQ(service.cache().stats().misses, 0u);
+  // The refused request never reached the service, so not the engine.
+  EXPECT_EQ(engine_queries.count(), before);
 
   // The same query (and a second one) must now succeed: the server kept
   // accepting, and the first success is a real engine answer.
@@ -162,8 +167,7 @@ TEST(ServeFaultTest, AdmissionFaultYields503ThenRecovers) {
     EXPECT_EQ(StatusOf(response), 200) << response;
     EXPECT_NE(response.find("\"hits\""), std::string::npos) << response;
   }
-  EXPECT_EQ(service.cache().stats().misses, 1u);
-  EXPECT_EQ(service.cache().stats().hits, 1u);
+  EXPECT_EQ(engine_queries.count(), before + 2);
 
   server.Stop();
   service.Shutdown();

@@ -131,34 +131,6 @@ TEST(QueryCacheTest, ClearDropsEverything) {
   EXPECT_FALSE(cache.Get("a").has_value());
 }
 
-// Live keys name their epoch, so entries of a superseded epoch can never
-// hit again: the first Put of a newer epoch drops them from every shard,
-// and a late Put under an older epoch is refused.
-TEST(QueryCacheTest, NewerEpochDropsOlderEpochsEntries) {
-  QueryCacheOptions options;
-  options.shards = 4;
-  options.max_bytes = 1 << 20;
-  QueryCache cache(options);
-  for (const char* key :
-       {"q0|e1", "q1|e1", "q2|e1", "q3|e1", "q4|e1", "q5|e1", "q6|e1",
-        "q7|e1"}) {
-    cache.Put(key, Hits("doc"), false, 1);
-  }
-  EXPECT_EQ(cache.entries(), 8u);
-
-  cache.Put("q0|e2", Hits("doc"), false, 2);
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.bytes(), CacheEntryBytes("q0|e2", Hits("doc")));
-  EXPECT_FALSE(cache.Get("q1|e1").has_value());
-  EXPECT_TRUE(cache.Get("q0|e2").has_value());
-
-  cache.Put("q1|e1", Hits("doc"), false, 1);  // Late writer: refused.
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_FALSE(cache.Get("q1|e1").has_value());
-  cache.Put("q1|e2", Hits("doc"), false, 2);  // Same epoch: kept.
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
 TEST(QueryCacheTest, ShardedCacheStillFindsItsKeys) {
   QueryCacheOptions options;
   options.shards = 8;

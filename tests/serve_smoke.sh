@@ -74,7 +74,7 @@ grep -q "^HTTP 200" "$WORKDIR/metrics.out"
 grep -q "^content-type: text/plain; version=0.0.4" "$WORKDIR/metrics.out"
 grep -q "^# TYPE lsi_serve_requests_2xx counter" "$WORKDIR/metrics.out"
 grep -q "^lsi_serve_requests_2xx_total" "$WORKDIR/metrics.out"
-grep -q "^lsi_serve_cache_misses_total" "$WORKDIR/metrics.out"
+grep -q "^lsi_engine_query_latency_ms_count" "$WORKDIR/metrics.out"
 
 # Status snapshot is valid JSON mentioning the engine shape.
 python3 "$PROBE" "$PORT" GET /statusz > "$WORKDIR/statusz.out"

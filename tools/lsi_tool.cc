@@ -26,12 +26,13 @@
 //       registry (JSON unless --stats=prom is also given).
 //
 //   lsi_tool serve <engine.bin> [--port=N] [--host=A] [--threads=N]
-//                  [--cache-mb=N] [--deadline-ms=N]
+//                  [--deadline-ms=N]
 //       Loads an engine once and serves it over HTTP until SIGINT or
 //       SIGTERM, then drains in-flight requests and exits 0. Routes:
 //       POST /query, POST /related, GET /healthz, /statusz, /metrics.
-//       Flag defaults come from LSI_PORT, LSI_CACHE_MB, LSI_DEADLINE_MS
-//       (and LSI_THREADS, as everywhere else).
+//       Results are not cached (a `route` in front caches them). Flag
+//       defaults come from LSI_PORT, LSI_DEADLINE_MS (and LSI_THREADS,
+//       as everywhere else).
 //
 //   lsi_tool serve --live=<dir> [serve flags] [--rank=N] [--weighting=W]
 //                  [--publish-every=N] [--refresh-ms=N]
@@ -60,7 +61,10 @@
 //       in X-Lsi-Deadline-Ms over pooled keep-alive connections,
 //       hedges slow shards once after a p95-derived delay, and — under
 //       --partial=degrade — answers over the surviving shards with
-//       X-Lsi-Partial: true when some fail.
+//       X-Lsi-Partial: true when some fail. --cache-mb (default
+//       LSI_CACHE_MB, else 64; 0 turns it off) sizes the result cache of
+//       full single-query answers; replies from live backends are never
+//       cached.
 //
 //   lsi_tool add <live-dir> <name> <text...>
 //       Appends one add record to <live-dir>/wal.log without starting a
@@ -123,7 +127,7 @@ int Usage() {
                "  lsi_tool simd\n"
                "  lsi_tool stats <engine.bin> [query text...]\n"
                "  lsi_tool serve <engine.bin> [--port=N] [--host=A]\n"
-               "                 [--cache-mb=N] [--deadline-ms=N]\n"
+               "                 [--deadline-ms=N]\n"
                "  lsi_tool serve --live=<dir> [serve flags] [--rank=N]\n"
                "                 [--weighting=W] [--publish-every=N]\n"
                "                 [--refresh-ms=N] [--drift-threshold=R]\n"
@@ -152,8 +156,10 @@ int Usage() {
                "  LSI_LOG_LEVEL=debug|info|warn|error  log verbosity\n"
                "  LSI_DEADLOCK_DETECT=1              runtime lock-order "
                "checking\n"
-               "  LSI_PORT, LSI_CACHE_MB, LSI_DEADLINE_MS\n"
-               "                                     serve flag defaults\n");
+               "  LSI_PORT, LSI_DEADLINE_MS          serve and route flag "
+               "defaults\n"
+               "  LSI_CACHE_MB                       route --cache-mb "
+               "default\n");
   return 2;
 }
 
@@ -355,23 +361,18 @@ bool ParseDoubleValue(const char* text, double* out) {
 }
 
 /// The HTTP front end `serve` and `route` share: the flags below, with
-/// LSI_PORT / LSI_CACHE_MB / LSI_DEADLINE_MS defaults, and the
-/// serve-until-signal loop.
+/// LSI_PORT / LSI_DEADLINE_MS defaults, and the serve-until-signal loop.
 struct FrontEnd {
   std::size_t port = SizeFromEnv("LSI_PORT", 8080);
-  std::size_t cache_mb = SizeFromEnv("LSI_CACHE_MB", 64);
   std::size_t deadline_ms = SizeFromEnv("LSI_DEADLINE_MS", 2000);
   std::string host = "0.0.0.0";
 
-  /// Takes `arg` when it is --port, --host, --cache-mb or --deadline-ms,
-  /// setting `*ok` to whether its value parsed; false for any other arg.
+  /// Takes `arg` when it is --port, --host or --deadline-ms, setting `*ok` to whether its value parsed; false for any other arg.
   bool ParseFlag(const char* arg, bool* ok) {
     if (std::strncmp(arg, "--port=", 7) == 0) {
       *ok = ParseSizeValue(arg + 7, &port) && port <= 65535;
     } else if (std::strncmp(arg, "--host=", 7) == 0) {
       host = arg + 7;
-    } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
-      *ok = ParseSizeValue(arg + 11, &cache_mb);
     } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
       *ok = ParseSizeValue(arg + 14, &deadline_ms) && deadline_ms > 0;
     } else {
@@ -379,8 +380,6 @@ struct FrontEnd {
     }
     return true;
   }
-
-  std::size_t cache_bytes() const { return cache_mb * 1024 * 1024; }
 
   /// Serves `handler` until SIGINT or SIGTERM, then drains. `announce`
   /// prints the startup line given the bound port; `stop` runs after the
@@ -434,7 +433,7 @@ int CommandServe(int argc, char** argv) {
     const char* arg = argv[i];
     bool ok = true;
     if (front.ParseFlag(arg, &ok)) {
-      // --port, --host, --cache-mb or --deadline-ms.
+      // --port, --host or --deadline-ms.
     } else if (std::strncmp(arg, "--live=", 7) == 0) {
       live_dir = arg + 7;
       ok = !live_dir.empty();
@@ -511,15 +510,12 @@ int CommandServe(int argc, char** argv) {
     serving_what = live_dir + " (live)";
   }
 
-  lsi::serve::ServiceOptions service_options;
-  service_options.cache.max_bytes = front.cache_bytes();
-  // Heap-allocated because LsiService is pinned (cache locks and atomics)
-  // and the mode picks its constructor at run time.
+  // Heap-allocated because LsiService is pinned (atomics) and the mode
+  // picks its constructor at run time.
   std::unique_ptr<lsi::serve::LsiService> service =
-      live != nullptr ? std::make_unique<lsi::serve::LsiService>(
-                            *live, service_options)
-                      : std::make_unique<lsi::serve::LsiService>(
-                            engine.value(), service_options);
+      live != nullptr
+          ? std::make_unique<lsi::serve::LsiService>(*live)
+          : std::make_unique<lsi::serve::LsiService>(engine.value());
 
   return front.Run(
       "serve",
@@ -554,12 +550,13 @@ int CommandServe(int argc, char** argv) {
 int CommandRoute(int argc, char** argv) {
   FrontEnd front;
   lsi::shard::RouterOptions options;
+  std::size_t cache_mb = SizeFromEnv("LSI_CACHE_MB", 64);
 
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     bool ok = true;
     if (front.ParseFlag(arg, &ok)) {
-      // --port, --host, --cache-mb or --deadline-ms.
+      // --port, --host or --deadline-ms.
     } else if (std::strncmp(arg, "--shard=", 8) == 0) {
       // One --shard per shard; commas separate that shard's replicas.
       std::vector<std::string> replicas;
@@ -575,6 +572,8 @@ int CommandRoute(int argc, char** argv) {
       }
       ok = !replicas.empty();
       if (ok) options.shards.push_back(std::move(replicas));
+    } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
+      ok = ParseSizeValue(arg + 11, &cache_mb);
     } else if (std::strncmp(arg, "--partial=", 10) == 0) {
       if (std::strcmp(arg + 10, "degrade") == 0) {
         options.partial = lsi::shard::PartialPolicy::kDegrade;
@@ -600,7 +599,7 @@ int CommandRoute(int argc, char** argv) {
     std::fprintf(stderr, "route needs at least one --shard=host:port\n");
     return 2;
   }
-  options.cache.max_bytes = front.cache_bytes();
+  options.cache.max_bytes = cache_mb * 1024 * 1024;
 
   lsi::shard::Router router(std::move(options));
   if (auto started = router.Start(); !started.ok()) {
