@@ -1,7 +1,8 @@
 // Substrate performance: throughput of the kernels everything else sits
-// on — sparse mat-vec, dense QR, random projection application, the text
-// pipeline (tokenize + stop-words + Porter stemming), alias-method
-// sampling, the query fold-in, and one result-cache hit. Not a
+// on — sparse mat-vec, the Lanczos tridiagonal eigensolve, dense QR,
+// random projection application, the text pipeline (tokenize +
+// stop-words + Porter stemming), alias-method sampling, the query
+// fold-in, and one result-cache hit. Not a
 // paper experiment; CI's bench job runs the guarded rows of the merge
 // base and of the head side by side (ci/bench_guard.py ab).
 
@@ -18,6 +19,7 @@
 #include "core/engine.h"
 #include "core/lsi_index.h"
 #include "linalg/dense_matrix.h"
+#include "linalg/eigen.h"
 #include "linalg/operators.h"
 #include "linalg/qr.h"
 #include "linalg/random_matrix.h"
@@ -54,6 +56,23 @@ void BM_SparseMatVecTranspose(benchmark::State& state) {
   for (auto _ : state) {
     auto y = corpus.matrix.MultiplyTranspose(x);
     benchmark::DoNotOptimize(y);
+  }
+}
+
+// The eigensolve of a Lanczos run's t x t tridiagonal (t = 220 at rank
+// 100): implicit QL, whose rotations sweep the eigenvector matrix one
+// column pair at a time. Random entries; the QL work depends on t, not
+// on the values.
+void BM_TridiagonalEigen(benchmark::State& state) {
+  const std::size_t t = static_cast<std::size_t>(state.range(0));
+  lsi::Rng rng(220);
+  std::vector<double> diagonal(t);
+  std::vector<double> subdiagonal(t - 1);
+  for (double& d : diagonal) d = rng.NextDouble();
+  for (double& e : subdiagonal) e = rng.NextDouble();
+  for (auto _ : state) {
+    auto eig = lsi::linalg::TridiagonalEigen(diagonal, subdiagonal);
+    benchmark::DoNotOptimize(eig);
   }
 }
 
@@ -322,6 +341,7 @@ BENCHMARK(BM_SparseMatVec)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SparseMatVecTranspose)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TridiagonalEigen)->Arg(220)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HouseholderQr)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TextPipeline)->Unit(benchmark::kMicrosecond);

@@ -5,7 +5,10 @@
 # when i is odd and head first when it is even, so a host that drifts
 # during the job weighs on both sides alike. The deadlock detector is
 # off on both sides, so the QueryCache hit row holds the detector-off
-# cost of the Mutex a repeated query takes to the base.
+# cost of the Mutex a repeated query takes to the base. The A^T x
+# scatter (BM_SparseMatVecTranspose) and the Lanczos tridiagonal
+# eigensolve (BM_TridiagonalEigen) are the SVD build's per-element
+# loops; their rows hold an accessor that stops inlining to the base.
 #
 # Arguments: $1 = base bench_s1_substrate_perf binary, $2 = head binary,
 # $3 = output directory (gets base/NN.json and head/NN.json). Exits
@@ -15,7 +18,7 @@ set -e
 BASE="$1"
 HEAD="$2"
 OUT="$3"
-ROWS='(BM_SparseMatVecThreads|BM_GramApplyThreads|BM_DenseGemmThreads|BM_CosineScoreThreads|BM_SimdDot|BM_SpmvPath|BM_GemmPath|BM_QueryCacheHit)'
+ROWS='(BM_SparseMatVecThreads|BM_SparseMatVecTranspose|BM_TridiagonalEigen|BM_GramApplyThreads|BM_DenseGemmThreads|BM_CosineScoreThreads|BM_SimdDot|BM_SpmvPath|BM_GemmPath|BM_QueryCacheHit)'
 unset LSI_DEADLOCK_DETECT
 
 # Runs binary $1 into JSON file $2. Each row keeps its best of 5

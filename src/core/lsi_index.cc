@@ -367,8 +367,9 @@ std::pair<std::size_t, double> LsiIndex::NearestCluster(std::size_t j) const {
 }
 
 void LsiIndex::TermRow(std::size_t t, double* out) const {
+  const double* u = u_.RowPtr(t);
   for (std::size_t i = 0; i < rank(); ++i) {
-    out[i] = u_(t, i) * singular_values_[i];
+    out[i] = u[i] * singular_values_[i];
   }
 }
 

@@ -46,16 +46,6 @@ DenseMatrix DenseMatrix::Diagonal(const DenseVector& diag) {
   return m;
 }
 
-double DenseMatrix::operator()(std::size_t i, std::size_t j) const {
-  LSI_DCHECK(i < rows_ && j < cols_);
-  return data_[i * cols_ + j];
-}
-
-double& DenseMatrix::operator()(std::size_t i, std::size_t j) {
-  LSI_DCHECK(i < rows_ && j < cols_);
-  return data_[i * cols_ + j];
-}
-
 DenseVector DenseMatrix::Row(std::size_t i) const {
   LSI_CHECK(i < rows_);
   DenseVector out(cols_);

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <vector>
 
+#include "common/check.h"
 #include "linalg/dense_vector.h"
 
 namespace lsi::linalg {
@@ -41,8 +42,16 @@ class DenseMatrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
 
-  double operator()(std::size_t i, std::size_t j) const;
-  double& operator()(std::size_t i, std::size_t j);
+  /// Element (i, j), bounds-checked in debug builds only. Inline for the
+  /// same reason as DenseVector::operator[].
+  double operator()(std::size_t i, std::size_t j) const {
+    LSI_DCHECK(i < rows_ && j < cols_);
+    return data_[i * cols_ + j];
+  }
+  double& operator()(std::size_t i, std::size_t j) {
+    LSI_DCHECK(i < rows_ && j < cols_);
+    return data_[i * cols_ + j];
+  }
 
   /// Pointer to the start of row i (contiguous, cols() entries).
   double* RowPtr(std::size_t i) { return data_.data() + i * cols_; }

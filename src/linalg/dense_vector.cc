@@ -8,16 +8,6 @@
 
 namespace lsi::linalg {
 
-double DenseVector::operator[](std::size_t i) const {
-  LSI_DCHECK(i < data_.size());
-  return data_[i];
-}
-
-double& DenseVector::operator[](std::size_t i) {
-  LSI_DCHECK(i < data_.size());
-  return data_[i];
-}
-
 void DenseVector::Fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }

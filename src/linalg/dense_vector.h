@@ -5,13 +5,16 @@
 #include <initializer_list>
 #include <vector>
 
+#include "common/check.h"
+
 namespace lsi::linalg {
 
 /// A dense vector of doubles.
 ///
 /// Thin wrapper over contiguous storage with the handful of BLAS-1 style
 /// operations the solvers need. Indexing is bounds-checked in debug builds
-/// only.
+/// only, and inline: the SVD's inner loops index element by element, and
+/// an out-of-line accessor there costs one call per entry.
 class DenseVector {
  public:
   DenseVector() = default;
@@ -34,8 +37,14 @@ class DenseVector {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  double operator[](std::size_t i) const;
-  double& operator[](std::size_t i);
+  double operator[](std::size_t i) const {
+    LSI_DCHECK(i < data_.size());
+    return data_[i];
+  }
+  double& operator[](std::size_t i) {
+    LSI_DCHECK(i < data_.size());
+    return data_[i];
+  }
 
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }

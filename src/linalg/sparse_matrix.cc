@@ -154,11 +154,14 @@ DenseVector SparseMatrix::MultiplyTranspose(const DenseVector& x) const {
   // every LSI_THREADS setting.
   auto scatter_rows = [&](std::size_t row_begin, std::size_t row_end) {
     DenseVector y(cols_, 0.0);
+    double* out = y.data();
+    const std::size_t* columns = col_indices_.data();
+    const double* values = values_.data();
     for (std::size_t i = row_begin; i < row_end; ++i) {
       double xi = x[i];
       if (xi == 0.0) continue;
       for (std::size_t p = row_offsets_[i]; p < row_offsets_[i + 1]; ++p) {
-        y[col_indices_[p]] += values_[p] * xi;
+        out[columns[p]] += values[p] * xi;
       }
     }
     return y;

@@ -117,15 +117,6 @@ void QueryCache::Put(const std::string& key,
   metrics_->entries.Add(1.0);
 }
 
-void QueryCache::Clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    while (!shard.lru.empty()) {
-      EraseLocked(shard, std::prev(shard.lru.end()));
-    }
-  }
-}
-
 std::size_t QueryCache::entries() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {

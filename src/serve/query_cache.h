@@ -58,9 +58,6 @@ class QueryCache {
   void Put(const std::string& key, const std::vector<core::EngineHit>& hits,
            bool is_partial = false);
 
-  /// Drops every entry (budget accounting resets too).
-  void Clear();
-
   std::size_t entries() const;
   std::size_t bytes() const;
 

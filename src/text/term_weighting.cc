@@ -17,10 +17,13 @@ struct GlobalStats {
   std::vector<double> entropy_weight;
 };
 
-GlobalStats ComputeGlobalStats(const Corpus& corpus) {
+/// Only log-entropy reads these, so every other scheme skips the pass
+/// (one log per nonzero) and gets empty stats.
+GlobalStats ComputeGlobalStats(const Corpus& corpus, WeightingScheme scheme) {
+  GlobalStats stats;
+  if (scheme != WeightingScheme::kLogEntropy) return stats;
   const std::size_t n = corpus.NumTerms();
   const std::size_t m = corpus.NumDocuments();
-  GlobalStats stats;
   stats.global_frequency.assign(n, 0.0);
   for (std::size_t d = 0; d < m; ++d) {
     for (const auto& [term, count] : corpus.document(d).counts()) {
@@ -133,7 +136,7 @@ double LocalTermWeight(WeightingScheme scheme, std::size_t count) {
 
 std::vector<double> ComputeGlobalWeights(const Corpus& corpus,
                                          WeightingScheme scheme) {
-  GlobalStats stats = ComputeGlobalStats(corpus);
+  GlobalStats stats = ComputeGlobalStats(corpus, scheme);
   std::vector<double> weights(corpus.NumTerms(), 1.0);
   for (std::size_t t = 0; t < corpus.NumTerms(); ++t) {
     weights[t] = GlobalWeight(scheme, corpus, stats,
@@ -146,7 +149,7 @@ linalg::DenseVector WeightQueryVector(
     const Corpus& corpus,
     const std::vector<std::pair<TermId, std::size_t>>& counts,
     WeightingScheme scheme) {
-  GlobalStats stats = ComputeGlobalStats(corpus);
+  GlobalStats stats = ComputeGlobalStats(corpus, scheme);
   linalg::DenseVector query(corpus.NumTerms(), 0.0);
   for (const auto& [term, count] : counts) {
     if (term >= corpus.NumTerms()) continue;

@@ -190,5 +190,18 @@ TEST(DenseMatrixTest, MultiplyAssociativity) {
   EXPECT_LT(MaxAbsDiff(left, right), 1e-12);
 }
 
+#ifndef NDEBUG
+// The accessor is inline in the header; a debug build still checks both
+// indices.
+TEST(DenseMatrixDeathTest, OutOfRangeIndexAborts) {
+  DenseMatrix m(2, 3);
+  const DenseMatrix& cm = m;
+  EXPECT_DEATH({ m(2, 0) = 1.0; }, "LSI_CHECK failed");
+  EXPECT_DEATH({ m(0, 3) = 1.0; }, "LSI_CHECK failed");
+  EXPECT_DEATH({ (void)cm(2, 0); }, "LSI_CHECK failed");
+  EXPECT_DEATH({ (void)cm(0, 3); }, "LSI_CHECK failed");
+}
+#endif
+
 }  // namespace
 }  // namespace lsi::linalg

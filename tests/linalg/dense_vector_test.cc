@@ -123,5 +123,15 @@ TEST(DenseVectorTest, AddSubtractScaled) {
   EXPECT_DOUBLE_EQ(twice[1], 4.0);
 }
 
+#ifndef NDEBUG
+// The accessor is inline in the header; a debug build still checks it.
+TEST(DenseVectorDeathTest, OutOfRangeIndexAborts) {
+  DenseVector v(3);
+  const DenseVector& cv = v;
+  EXPECT_DEATH({ v[3] = 1.0; }, "LSI_CHECK failed");
+  EXPECT_DEATH({ (void)cv[3]; }, "LSI_CHECK failed");
+}
+#endif
+
 }  // namespace
 }  // namespace lsi::linalg

@@ -211,8 +211,8 @@ TEST_F(LiveRoutesTest, StatuszIncludesLiveSection) {
   EXPECT_EQ(live->Find("documents")->number(), 5.0);
 }
 
-TEST_F(LiveRoutesTest, QueryCacheKeysRotateWithEpoch) {
-  // Same query before and after a write must see the write.
+TEST_F(LiveRoutesTest, QueryAfterWriteSeesTheWrite) {
+  // The same query before and after a write must see the write.
   // The new document reuses base vocabulary: fold-in cannot learn new
   // terms, so an all-OOV doc would be a zero vector and never match.
   HttpRequest probe =

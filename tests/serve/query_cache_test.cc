@@ -121,16 +121,6 @@ TEST(QueryCacheTest, PartialResultsAreNeverAdmitted) {
   EXPECT_EQ(rejected.value(), before + 2);
 }
 
-TEST(QueryCacheTest, ClearDropsEverything) {
-  QueryCache cache(SingleShard(1 << 20));
-  cache.Put("a", Hits("x"));
-  cache.Put("b", Hits("y"));
-  cache.Clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_FALSE(cache.Get("a").has_value());
-}
-
 TEST(QueryCacheTest, ShardedCacheStillFindsItsKeys) {
   QueryCacheOptions options;
   options.shards = 8;

@@ -211,7 +211,7 @@ TEST_F(LsiServiceTest, QueryStringIsIgnoredForRouting) {
   EXPECT_EQ(Handle(Request("GET", "/healthz?verbose=1")).status, 200);
 }
 
-TEST_F(LsiServiceTest, StatuszReportsEngineAndCacheShape) {
+TEST_F(LsiServiceTest, StatuszReportsEngineAndRequests) {
   Handle(Request("POST", "/query", R"({"query": "moon orbit"})"));
   HttpResponse response = Handle(Request("GET", "/statusz"));
   ASSERT_EQ(response.status, 200);
